@@ -60,9 +60,8 @@ func (a Atom) Variables() []string {
 	return out
 }
 
-// Apply returns a copy of the atom with the substitution applied to every
-// term.
-func (a Atom) Apply(s term.Substitution) Atom {
+// Apply returns a copy of the atom with the bindings applied to every term.
+func (a Atom) Apply(s term.Bindings) Atom {
 	out := Atom{Predicate: a.Predicate, Terms: make([]term.Term, len(a.Terms))}
 	for i, t := range a.Terms {
 		out.Terms[i] = s.Apply(t)
@@ -187,9 +186,9 @@ func (c Condition) Variables() []string {
 	return out
 }
 
-// Holds evaluates the condition under a substitution. It returns an error
+// Holds evaluates the condition under the bindings. It returns an error
 // when a side is still unbound or the two sides are incomparable.
-func (c Condition) Holds(s term.Substitution) (bool, error) {
+func (c Condition) Holds(s term.Bindings) (bool, error) {
 	l := s.Apply(c.Left)
 	r := s.Apply(c.Right)
 	if l.IsVariable() {

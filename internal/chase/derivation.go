@@ -19,7 +19,7 @@
 // ablation). Body joins run on compiled slot-based plans: each rule is
 // compiled once into join plans over the store's interned value ids, and
 // a depth-first executor drives a flat binding frame through them,
-// converting to a term.Substitution only at the emission boundary (see
+// converting to a provenance Frame only at the emission boundary (see
 // plan.go for the compilation scheme and the equivalence argument).
 // Options.Legacy selects the map-interpreting engine instead; results
 // are byte-identical either way, so it exists as the differential and
@@ -30,7 +30,7 @@
 // indexes (database.Columnar): each rule evaluation admits an entire
 // delta's worth of tuples into column vectors, runs every join depth,
 // condition, assignment and negation check over whole columns, and
-// converts to Substitutions only for the tuples that survive to
+// converts to provenance Frames only for the tuples that survive to
 // emission. The batch executor is byte-identical to the frame executor
 // — same facts, ids, step order, premises and substitutions — because
 // both enumerate candidates in ascending fact-id order and the columnar
@@ -80,8 +80,11 @@ type Contribution struct {
 	Value term.Term
 	// Sub is the full body homomorphism of this contributor, binding the
 	// contributor-varying variables (e.g. the individual debtor and loan
-	// amount of one exposure) that the group-level substitution omits.
-	Sub term.Substitution
+	// amount of one exposure) that the group-level frame omits. It is an
+	// immutable Frame — a slice of terms over the rule's interned variable
+	// layout — so a contributor costs its values, not a hash map; call
+	// Sub.Substitution() for a map.
+	Sub Frame
 }
 
 // Derivation records one chase step: how a fact was derived.
@@ -99,10 +102,11 @@ type Derivation struct {
 	// Contributors is non-empty exactly for aggregation rules: one entry
 	// per contributing homomorphism.
 	Contributors []Contribution
-	// Sub is the substitution of the chase step. For aggregation rules it
-	// binds the group variables and the aggregate target; contributor-only
-	// variables are not included.
-	Sub term.Substitution
+	// Sub is the homomorphism of the chase step, as an immutable Frame
+	// shared by nothing else (see Contribution.Sub). For aggregation rules
+	// it binds the group variables and the aggregate target;
+	// contributor-only variables are not included.
+	Sub Frame
 }
 
 // IsAggregation reports whether the step applied an aggregation rule.

@@ -111,6 +111,11 @@ type engine struct {
 	// deterministic group discovery order.
 	aggGroups map[*ast.Rule]map[string]*aggGroup
 	aggOrder  map[*ast.Rule][]string
+	// aggSeen holds, per aggregation rule, the identity keys (premise fact
+	// ids) of its accumulated contributors, so a re-derivation of the same
+	// premise tuple is not counted twice. The premises determine the
+	// binding and so its group, which makes one set per rule enough.
+	aggSeen map[*ast.Rule]map[string]struct{}
 	// supersessions counts supersession events; a rule whose groups may
 	// reference superseded contributors recomputes all its totals when
 	// the count moved since its previous evaluation.
@@ -144,6 +149,11 @@ type engine struct {
 	// against the store without materializing atoms or substitutions.
 	keyByID [][]byte
 	emitBuf []byte
+	// layouts interns provenance frame layouts by their NUL-terminated
+	// names (see frame.go); layoutBuf and nameBuf are its scratch buffers.
+	layouts   map[string]*frameVars
+	layoutBuf []byte
+	nameBuf   []string
 	// ctx is the run's cancellation context; nil means none (see context.go
 	// for the checkpoint placement and the state left after a cancel).
 	ctx context.Context
@@ -152,9 +162,8 @@ type engine struct {
 // aggGroup is the accumulated state of one aggregation group.
 type aggGroup struct {
 	key     string
-	sub     term.Substitution // bindings of the group variables
+	sub     Frame // bindings of the group variables
 	contrib []Contribution
-	seen    map[string]bool // contributor identity (premise fact ids)
 }
 
 type aggEmission struct {
@@ -190,8 +199,8 @@ func (e *engine) round(rules []*ast.Rule) (bool, error) {
 // binding is one body homomorphism together with the matched facts in
 // body-atom order. The legacy engine materializes the substitution directly
 // (sub); the compiled engine carries the flat slot frame (frame for
-// atom-bound variables as interned ids, vals for assignment targets) and
-// converts to a substitution only at the emission boundary via bindingSub.
+// atom-bound variables as interned ids, vals for assignment targets). Both
+// become a provenance Frame only at the emission boundary (bindingFrame).
 type binding struct {
 	sub   term.Substitution
 	frame []term.ValueID
@@ -209,28 +218,9 @@ func (e *engine) planFor(r *ast.Rule) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.compileFrames(p)
 	e.plans[r] = p
 	return p, nil
-}
-
-// bindingSub converts a binding to the substitution the emission path,
-// provenance record, and aggregation contributors expose. Legacy bindings
-// already carry it; compiled bindings are converted here — the single
-// frame→Substitution boundary.
-func (e *engine) bindingSub(r *ast.Rule, b binding) term.Substitution {
-	if b.sub != nil {
-		return b.sub
-	}
-	p := e.plans[r]
-	in := e.store.Interner()
-	sub := make(term.Substitution, p.nslots+p.nvals)
-	for i, name := range p.slotNames {
-		sub[name] = in.Value(b.frame[i])
-	}
-	for i, name := range p.valNames {
-		sub[name] = b.vals[i]
-	}
-	return sub
 }
 
 // atomFilter restricts which facts an atom position may match during
@@ -518,7 +508,7 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 	}
 	changed := false
 	for _, b := range bindings {
-		bsub := e.bindingSub(r, b)
+		f := e.bindingFrame(r, b)
 		// Restricted chase: when the head has existential variables, the
 		// step is pre-empted if some existing fact already satisfies the
 		// head pattern under the current bindings (existential positions
@@ -526,17 +516,17 @@ func (e *engine) applyPlainRule(r *ast.Rule) (bool, error) {
 		// fresh null every round and never reach a fixpoint. MatchAny
 		// stops at the first witness instead of materializing the full
 		// match list.
-		if hasExistential(r, bsub) {
-			pattern := r.Head.Apply(bsub)
+		if hasExistential(r, f) {
+			pattern := r.Head.Apply(f)
 			if e.store.MatchAny(pattern) {
 				continue
 			}
 		}
-		head, sub, err := e.instantiateHead(r, bsub)
+		head, f, err := e.instantiateHead(r, f)
 		if err != nil {
 			return false, err
 		}
-		added, err := e.emit(r, head, b.facts, nil, sub)
+		added, err := e.emit(r, head, b.facts, nil, f)
 		if err != nil {
 			return false, err
 		}
@@ -589,12 +579,11 @@ func (e *engine) applyPlainRuleCols(r *ast.Rule, p *plan) (bool, error) {
 		// has no existential variables (p.head != nil), so the restricted-
 		// chase pre-emption never applies.
 		for _, b := range u.binds {
-			bsub := e.bindingSub(r, b)
-			head, sub, err := e.instantiateHead(r, bsub)
+			head, f, err := e.instantiateHead(r, e.bindingFrame(r, b))
 			if err != nil {
 				return false, err
 			}
-			added, err := e.emit(r, head, b.facts, nil, sub)
+			added, err := e.emit(r, head, b.facts, nil, f)
 			if err != nil {
 				return false, err
 			}
@@ -627,8 +616,8 @@ func (e *engine) idKey(id term.ValueID) []byte {
 // from cached per-value key bytes, and skips duplicates with a single
 // allocation-free map read (Store.LookupKey) — emit's Add would return
 // added=false and record nothing, so skipping is byte-identical. Only rows
-// that actually insert materialize the atom, row, substitution, premises,
-// and derivation, via the store's pre-keyed fast path (Store.AddKeyed).
+// that actually insert materialize the atom, row, frame, premises, and
+// derivation, via the store's pre-keyed fast path (Store.AddKeyed).
 func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 	hp := p.head
 	in := e.store.Interner()
@@ -682,12 +671,13 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 			e.emitBuf = buf
 			return false, err
 		}
-		sub := make(term.Substitution, p.nslots+p.nvals)
-		for s, name := range p.slotNames {
-			sub[name] = in.Value(st.slots[s][i])
-		}
-		for v, name := range p.valNames {
-			sub[name] = st.vals[v][i]
+		vals := make([]term.Term, len(p.bindSrc))
+		for j, ref := range p.bindSrc {
+			if ref.kind == refSlot {
+				vals[j] = in.Value(st.slots[ref.idx][i])
+			} else {
+				vals[j] = st.vals[ref.idx][i]
+			}
 		}
 		premises := make([]database.FactID, nb)
 		for a := 0; a < nb; a++ {
@@ -698,7 +688,7 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 			Rule:     r,
 			Fact:     f.ID,
 			Premises: premises,
-			Sub:      sub,
+			Sub:      Frame{vars: p.bindVars, vals: vals},
 		}
 		e.steps = append(e.steps, d)
 		e.derivs[f.ID] = append(e.derivs[f.ID], d)
@@ -738,6 +728,7 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 	if full {
 		e.aggGroups[r] = map[string]*aggGroup{}
 		e.aggOrder[r] = nil
+		delete(e.aggSeen, r)
 		bindings, err = e.joinBody(r)
 	} else if e.store.Len() > prev {
 		bindings, err = e.joinBodySemiNaive(r, database.FactID(prev))
@@ -767,32 +758,37 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		groups = map[string]*aggGroup{}
 		e.aggGroups[r] = groups
 	}
+	idents := e.aggSeen[r]
+	if idents == nil && len(bindings) > 0 {
+		idents = map[string]struct{}{}
+		e.aggSeen[r] = idents
+	}
 	touched := map[string]bool{}
 	for key := range dirty {
 		touched[key] = true
 	}
 	for _, b := range bindings {
-		key := e.groupKeyOf(r, groupVars, b)
-		gr, ok := groups[key]
-		if !ok {
-			gr = &aggGroup{key: key, sub: e.groupSub(r, groupVars, b), seen: map[string]bool{}}
-			groups[key] = gr
-			e.aggOrder[r] = append(e.aggOrder[r], key)
-		}
 		// Contributor identity: the tuple of premise facts. Distinct
 		// facts are distinct contributors (two loans between the same
 		// entities both count); re-derivations of the identical premise
 		// tuple are not double counted.
 		ident := e.factTupleKey(b.facts)
-		if gr.seen[ident] {
+		if _, dup := idents[ident]; dup {
 			continue
 		}
-		gr.seen[ident] = true
+		key := e.groupKeyOf(r, groupVars, b)
+		gr, ok := groups[key]
+		if !ok {
+			gr = &aggGroup{key: key, sub: e.groupFrame(r, groupVars, b)}
+			groups[key] = gr
+			e.aggOrder[r] = append(e.aggOrder[r], key)
+		}
+		idents[ident] = struct{}{}
 		val, bound := e.bindingValue(r, b, g.Over)
 		if !bound {
 			return false, fmt.Errorf("aggregation %s: variable %s unbound", g, g.Over)
 		}
-		gr.contrib = append(gr.contrib, Contribution{Premises: b.facts, Value: val, Sub: e.bindingSub(r, b)})
+		gr.contrib = append(gr.contrib, Contribution{Premises: b.facts, Value: val, Sub: e.bindingFrame(r, b)})
 		touched[key] = true
 	}
 
@@ -811,17 +807,17 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		sub := gr.sub.Clone()
-		if !sub.Bind(g.Target, total) {
+		if _, bound := gr.sub.Get(g.Target); bound {
 			return false, fmt.Errorf("aggregation %s: target already bound", g)
 		}
+		f := e.withBindings(gr.sub, []string{g.Target}, []term.Term{total})
 		// Deferred conditions (those mentioning the target).
 		ok := true
 		for _, c := range r.Conditions {
 			if !mentions(c, g.Target) {
 				continue
 			}
-			holds, err := c.Holds(sub)
+			holds, err := c.Holds(f)
 			if err != nil {
 				return false, err
 			}
@@ -833,12 +829,12 @@ func (e *engine) applyAggRule(r *ast.Rule) (bool, error) {
 		if !ok {
 			continue
 		}
-		head, sub, err := e.instantiateHead(r, sub)
+		head, f, err := e.instantiateHead(r, f)
 		if err != nil {
 			return false, err
 		}
 		premises := dedupFacts(live)
-		added, err := e.emitAgg(r, key, head, premises, live, sub, total)
+		added, err := e.emitAgg(r, key, head, premises, live, f, total)
 		if err != nil {
 			return false, err
 		}
@@ -964,29 +960,20 @@ func appendKeyPart(buf []byte, t term.Term) []byte {
 	return append(buf, 0)
 }
 
-// groupSub binds the group variables of one binding (the group-level part of
-// the homomorphism stored on the aggregation group).
-func (e *engine) groupSub(r *ast.Rule, groupVars []string, b binding) term.Substitution {
-	sub := term.Substitution{}
+// groupFrame binds the group variables of one binding (the group-level part
+// of the homomorphism stored on the aggregation group).
+func (e *engine) groupFrame(r *ast.Rule, groupVars []string, b binding) Frame {
 	if b.sub != nil {
+		sub := term.Substitution{}
 		for _, v := range groupVars {
 			if t, bound := b.sub[v]; bound {
 				sub[v] = t
 			}
 		}
-		return sub
+		return e.frameOf(sub)
 	}
 	p := e.plans[r]
-	in := e.store.Interner()
-	for _, ref := range p.groupRefs {
-		switch ref.kind {
-		case refSlot:
-			sub[ref.name] = in.Value(b.frame[ref.idx])
-		case refVal:
-			sub[ref.name] = b.vals[ref.idx]
-		}
-	}
-	return sub
+	return slotFrame(p.groupVars, p.groupSrc, e.store.Interner(), b.frame, b.vals)
 }
 
 // bindingValue resolves one variable of a binding (the aggregated variable
@@ -1075,42 +1062,42 @@ func aggregate(fn ast.AggFunc, contrib []Contribution) (term.Term, error) {
 }
 
 // hasExistential reports whether the rule head contains variables unbound
-// under sub (i.e. existentially quantified head variables).
-func hasExistential(r *ast.Rule, sub term.Substitution) bool {
+// under f (i.e. existentially quantified head variables).
+func hasExistential(r *ast.Rule, f Frame) bool {
 	for _, v := range r.Head.Variables() {
-		if _, ok := sub[v]; !ok {
+		if _, ok := f.Get(v); !ok {
 			return true
 		}
 	}
 	return false
 }
 
-// instantiateHead grounds the head under the substitution, inventing
-// labelled nulls for existential variables.
-func (e *engine) instantiateHead(r *ast.Rule, sub term.Substitution) (ast.Atom, term.Substitution, error) {
-	out := sub
-	extended := false
+// instantiateHead grounds the head under the frame, inventing labelled
+// nulls for existential variables (numbered in head-variable order).
+func (e *engine) instantiateHead(r *ast.Rule, f Frame) (ast.Atom, Frame, error) {
+	var names []string
+	var nulls []term.Term
 	for _, v := range r.Head.Variables() {
-		if _, ok := out[v]; !ok {
-			if !extended {
-				out = out.Clone()
-				extended = true
-			}
+		if _, ok := f.Get(v); !ok {
 			e.nullSeq++
-			out[v] = term.Null("z" + strconv.Itoa(e.nullSeq))
+			names = append(names, v)
+			nulls = append(nulls, term.Null("z"+strconv.Itoa(e.nullSeq)))
 		}
 	}
-	head := r.Head.Apply(out)
-	if !head.IsGround() {
-		return ast.Atom{}, nil, fmt.Errorf("head %v not ground after instantiation", head)
+	if len(names) > 0 {
+		f = e.withBindings(f, names, nulls)
 	}
-	return head, out, nil
+	head := r.Head.Apply(f)
+	if !head.IsGround() {
+		return ast.Atom{}, Frame{}, fmt.Errorf("head %v not ground after instantiation", head)
+	}
+	return head, f, nil
 }
 
 // emit adds a derived fact with its derivation. Chase steps whose conclusion
 // already exists are pre-empted (no new fact, no new step); the derivation
 // is still recorded as an alternative proof if it is the fact's first.
-func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, contrib []Contribution, sub term.Substitution) (bool, error) {
+func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, contrib []Contribution, sub Frame) (bool, error) {
 	if e.store.Len() >= e.maxFacts {
 		return false, fmt.Errorf("fact limit %d exceeded", e.maxFacts)
 	}
@@ -1136,7 +1123,7 @@ func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, co
 
 // emitAgg emits an aggregation result and supersedes the rule's previous
 // emission for the same group when the total changed.
-func (e *engine) emitAgg(r *ast.Rule, groupKey string, head ast.Atom, premises []database.FactID, contrib []Contribution, sub term.Substitution, total term.Term) (bool, error) {
+func (e *engine) emitAgg(r *ast.Rule, groupKey string, head ast.Atom, premises []database.FactID, contrib []Contribution, sub Frame, total term.Term) (bool, error) {
 	stateKey := r.Label + "\x00" + groupKey
 	if prev, ok := e.aggState[stateKey]; ok && prev.value.Equal(total) {
 		return false, nil

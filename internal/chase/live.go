@@ -99,6 +99,7 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 		lastSeen:   map[*ast.Rule]int{},
 		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
 		aggOrder:   map[*ast.Rule][]string{},
+		aggSeen:    map[*ast.Rule]map[string]struct{}{},
 		lastSuper:  map[*ast.Rule]int{},
 		plans:      map[*ast.Rule]*plan{},
 		maxFacts:   maxFacts,
@@ -356,7 +357,7 @@ func (l *Live) Rederive(a ast.Atom) (bool, error) {
 			if r.Head.Apply(b.sub).Key() != a.Key() {
 				continue
 			}
-			if _, err := e.emit(r, a, b.facts, nil, b.sub); err != nil {
+			if _, err := e.emit(r, a, b.facts, nil, e.frameOf(b.sub)); err != nil {
 				return false, fmt.Errorf("chase: rederive %v: rule %s: %w", a.Display(), r.Label, err)
 			}
 			return true, nil
@@ -473,7 +474,7 @@ func (l *Live) RevalidateNegatedContributors(gained map[string]bool) []database.
 					}
 				}
 				if blocked {
-					delete(gr.seen, e.factTupleKey(c.Premises))
+					delete(e.aggSeen[r], e.factTupleKey(c.Premises))
 					removed = true
 					continue
 				}
@@ -661,7 +662,7 @@ func (e *engine) purgeRetracted() {
 					}
 				}
 				if dead {
-					delete(gr.seen, e.factTupleKey(c.Premises))
+					delete(e.aggSeen[r], e.factTupleKey(c.Premises))
 					removed = true
 					continue
 				}

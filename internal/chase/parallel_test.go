@@ -43,11 +43,12 @@ func diffResults(t *testing.T, label string, want, got *Result) {
 		if fmt.Sprint(w.Premises) != fmt.Sprint(g.Premises) {
 			t.Fatalf("%s: step %d premise lists differ: %v vs %v", label, i, w.Premises, g.Premises)
 		}
-		if len(w.Sub) != len(g.Sub) {
-			t.Fatalf("%s: step %d substitution sizes differ: %v vs %v", label, i, w.Sub, g.Sub)
+		wsub, gsub := w.Sub.Substitution(), g.Sub.Substitution()
+		if len(wsub) != len(gsub) {
+			t.Fatalf("%s: step %d substitution sizes differ: %v vs %v", label, i, wsub, gsub)
 		}
-		for v, wt := range w.Sub {
-			gt, ok := g.Sub[v]
+		for v, wt := range wsub {
+			gt, ok := gsub[v]
 			if !ok || !wt.Equal(gt) || wt.Display() != gt.Display() {
 				t.Fatalf("%s: step %d substitution differs at %s: %v vs %v", label, i, v, wt, gt)
 			}

@@ -33,9 +33,9 @@ package chase
 // never finishes may be filtered — or fail — earlier here. Both engines
 // still fail deterministically on such programs.
 //
-// A frame is converted back to a term.Substitution only at the emission
-// boundary (engine.bindingSub), so provenance, aggregation grouping,
-// mapping, and core see exactly the data they saw before the refactor.
+// A binding frame is converted to a provenance Frame (frame.go) only at the
+// emission boundary (engine.bindingFrame), so provenance, aggregation
+// grouping, mapping, and core see the same bindings under every executor.
 
 import (
 	"fmt"
@@ -91,6 +91,14 @@ type plan struct {
 	// head is the vectorized-emission layout of the head atom (nil when the
 	// rule is existential or aggregating — those emit per binding).
 	head *headPlan
+	// Provenance frame layouts (see frame.go), filled in by the engine that
+	// interns them: a binding's frame (body variables and assignment
+	// targets) and an aggregation group's frame (its bound group
+	// variables), each with the slot of every sorted position.
+	bindVars  *frameVars
+	bindSrc   []slotRef
+	groupVars *frameVars
+	groupSrc  []slotRef
 }
 
 // headPlan precompiles the head atom for the batch executor's vectorized

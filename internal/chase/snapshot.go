@@ -100,12 +100,12 @@ func (l *Live) EncodeState() ([]byte, error) {
 		w.uint(uint64(idx))
 		w.uint(uint64(d.Fact))
 		w.ids(d.Premises)
-		w.sub(d.Sub)
+		w.frame(d.Sub)
 		w.uint(uint64(len(d.Contributors)))
 		for _, c := range d.Contributors {
 			w.ids(c.Premises)
 			w.term(c.Value)
-			w.sub(c.Sub)
+			w.frame(c.Sub)
 		}
 	}
 
@@ -132,8 +132,8 @@ func (l *Live) EncodeState() ([]byte, error) {
 	w.int(int64(e.supersessions))
 
 	// Aggregation groups, per rule in program order, groups in discovery
-	// order (aggOrder). The contributor-identity set (seen) is rebuilt from
-	// the contributors at restore.
+	// order (aggOrder). The contributor-identity set (aggSeen) is rebuilt
+	// from the contributors at restore.
 	var aggRules []*ast.Rule
 	for _, r := range e.prog.Rules {
 		if _, ok := e.aggGroups[r]; ok {
@@ -155,12 +155,12 @@ func (l *Live) EncodeState() ([]byte, error) {
 				return nil, fmt.Errorf("chase: snapshot: rule %s group key missing from map", r.Label)
 			}
 			w.str(key)
-			w.sub(gr.sub)
+			w.frame(gr.sub)
 			w.uint(uint64(len(gr.contrib)))
 			for _, c := range gr.contrib {
 				w.ids(c.Premises)
 				w.term(c.Value)
-				w.sub(c.Sub)
+				w.frame(c.Sub)
 			}
 		}
 	}
@@ -233,6 +233,7 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		lastSeen:   map[*ast.Rule]int{},
 		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
 		aggOrder:   map[*ast.Rule][]string{},
+		aggSeen:    map[*ast.Rule]map[string]struct{}{},
 		lastSuper:  map[*ast.Rule]int{},
 		plans:      map[*ast.Rule]*plan{},
 		maxFacts:   maxFacts,
@@ -298,11 +299,11 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		rule := r.rule(p)
 		fact := database.FactID(r.uint())
 		premises := r.ids()
-		sub := r.sub()
+		sub := r.frame(e)
 		nc := r.uint()
 		var contribs []Contribution
 		for j := uint64(0); j < nc && r.err == nil; j++ {
-			contribs = append(contribs, Contribution{Premises: r.ids(), Value: r.term(), Sub: r.sub()})
+			contribs = append(contribs, Contribution{Premises: r.ids(), Value: r.term(), Sub: r.frame(e)})
 		}
 		if r.err != nil {
 			break
@@ -337,16 +338,17 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		rule := r.rule(p)
 		ngroups := r.uint()
 		groups := map[string]*aggGroup{}
+		idents := map[string]struct{}{}
 		var order []string
 		for j := uint64(0); j < ngroups && r.err == nil; j++ {
 			key := r.str()
-			sub := r.sub()
+			sub := r.frame(e)
 			ncontrib := r.uint()
-			gr := &aggGroup{key: key, sub: sub, seen: map[string]bool{}}
+			gr := &aggGroup{key: key, sub: sub}
 			for k := uint64(0); k < ncontrib && r.err == nil; k++ {
-				c := Contribution{Premises: r.ids(), Value: r.term(), Sub: r.sub()}
+				c := Contribution{Premises: r.ids(), Value: r.term(), Sub: r.frame(e)}
 				gr.contrib = append(gr.contrib, c)
-				gr.seen[e.factTupleKey(c.Premises)] = true
+				idents[e.factTupleKey(c.Premises)] = struct{}{}
 			}
 			groups[key] = gr
 			order = append(order, key)
@@ -354,6 +356,9 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		if r.err == nil && rule != nil {
 			e.aggGroups[rule] = groups
 			e.aggOrder[rule] = order
+			if len(idents) > 0 {
+				e.aggSeen[rule] = idents
+			}
 		}
 	}
 
@@ -447,17 +452,13 @@ func (w *stateWriter) ids(ids []database.FactID) {
 	}
 }
 
-// sub emits a substitution sorted by variable name.
-func (w *stateWriter) sub(s term.Substitution) {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.uint(uint64(len(names)))
-	for _, n := range names {
-		w.str(n)
-		w.term(s[n])
+// frame emits a provenance frame as a substitution sorted by variable name
+// (frames keep their names in that order).
+func (w *stateWriter) frame(f Frame) {
+	w.uint(uint64(f.Len()))
+	for i := 0; i < f.Len(); i++ {
+		w.str(f.Name(i))
+		w.term(f.Value(i))
 	}
 }
 
@@ -580,6 +581,21 @@ func (r *stateReader) str() string {
 	return s
 }
 
+// strBytes is str without the copy: the bytes alias the payload.
+func (r *stateReader) strBytes() []byte {
+	n := r.uint()
+	if r.err != nil {
+		return nil
+	}
+	if uint64(len(r.data)-r.off) < n {
+		r.fail("truncated string of length %d at offset %d", n, r.off)
+		return nil
+	}
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
 func (r *stateReader) ids() []database.FactID {
 	n := r.uint()
 	if r.err != nil || n == 0 {
@@ -596,17 +612,36 @@ func (r *stateReader) ids() []database.FactID {
 	return out
 }
 
-func (r *stateReader) sub() term.Substitution {
+// frame decodes a substitution into a frame whose layout is interned in e.
+// The names must ascend strictly, as the writer emits them; the name bytes
+// are read in place, so a layout seen before costs no string allocation.
+func (r *stateReader) frame(e *engine) Frame {
 	n := r.uint()
-	if r.err != nil {
-		return nil
+	if r.err != nil || n == 0 {
+		return Frame{}
 	}
-	sub := make(term.Substitution, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		name := r.str()
-		sub[name] = r.term()
+	if uint64(len(r.data)-r.off) < n {
+		r.fail("substitution of length %d exceeds payload at offset %d", n, r.off)
+		return Frame{}
 	}
-	return sub
+	key := e.layoutBuf[:0]
+	vals := make([]term.Term, n)
+	var prev []byte
+	for i := range vals {
+		name := r.strBytes()
+		if r.err != nil {
+			return Frame{}
+		}
+		if i > 0 && string(name) <= string(prev) {
+			r.fail("substitution names out of order at offset %d", r.off)
+			return Frame{}
+		}
+		prev = name
+		key = append(append(key, name...), 0)
+		vals[i] = r.term()
+	}
+	e.layoutBuf = key
+	return Frame{vars: e.layoutKeyed(key), vals: vals}
 }
 
 // rule decodes a program rule index.

@@ -16,6 +16,7 @@ package term
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -79,84 +80,121 @@ func (t ConstType) String() string {
 
 // Term is a single term: a constant, a variable or a labelled null.
 // The zero value is the string constant "".
+//
+// A Term is 32 bytes: str holds a string constant's value or a variable's
+// name or a null's label, and num holds an int constant's two's-complement
+// bits, a float constant's IEEE bits, or 1 for true. Terms sit inline in
+// every fact row, atom and provenance frame, so their size is most of a
+// session's resident heap. Compare terms with Equal and key maps by Key: the
+// zero-size func array makes == and map keys on Term a compile error, since
+// bitwise identity is not term identity (3 and 3.0, or 0 and -0.0, are equal
+// terms with different bits).
 type Term struct {
-	kind Kind
-
-	// name holds the variable name or the null label.
-	name string
-
-	ctype ConstType
-	s     string
-	i     int64
-	f     float64
-	b     bool
+	_     [0]func()
+	str   string
+	num   uint64
+	kind  uint8
+	ctype uint8
 }
 
 // Str returns a string constant.
-func Str(s string) Term { return Term{kind: KindConstant, ctype: ConstString, s: s} }
+func Str(s string) Term { return Term{kind: uint8(KindConstant), ctype: uint8(ConstString), str: s} }
 
 // Int returns an integer constant.
-func Int(i int64) Term { return Term{kind: KindConstant, ctype: ConstInt, i: i} }
+func Int(i int64) Term {
+	return Term{kind: uint8(KindConstant), ctype: uint8(ConstInt), num: uint64(i)}
+}
 
 // Float returns a floating point constant.
-func Float(f float64) Term { return Term{kind: KindConstant, ctype: ConstFloat, f: f} }
+func Float(f float64) Term {
+	return Term{kind: uint8(KindConstant), ctype: uint8(ConstFloat), num: math.Float64bits(f)}
+}
 
 // Bool returns a boolean constant.
-func Bool(b bool) Term { return Term{kind: KindConstant, ctype: ConstBool, b: b} }
+func Bool(b bool) Term {
+	t := Term{kind: uint8(KindConstant), ctype: uint8(ConstBool)}
+	if b {
+		t.num = 1
+	}
+	return t
+}
 
 // Var returns a variable with the given name.
-func Var(name string) Term { return Term{kind: KindVariable, name: name} }
+func Var(name string) Term { return Term{kind: uint8(KindVariable), str: name} }
 
 // Null returns a labelled null with the given label.
-func Null(label string) Term { return Term{kind: KindNull, name: label} }
+func Null(label string) Term { return Term{kind: uint8(KindNull), str: label} }
 
 // Kind reports which member of the term algebra t is.
-func (t Term) Kind() Kind { return t.kind }
+func (t Term) Kind() Kind { return Kind(t.kind) }
 
 // IsConstant reports whether t is a constant.
-func (t Term) IsConstant() bool { return t.kind == KindConstant }
+func (t Term) IsConstant() bool { return Kind(t.kind) == KindConstant }
 
 // IsVariable reports whether t is a variable.
-func (t Term) IsVariable() bool { return t.kind == KindVariable }
+func (t Term) IsVariable() bool { return Kind(t.kind) == KindVariable }
 
 // IsNull reports whether t is a labelled null.
-func (t Term) IsNull() bool { return t.kind == KindNull }
+func (t Term) IsNull() bool { return Kind(t.kind) == KindNull }
 
 // Name returns the variable name or null label; it is empty for constants.
-func (t Term) Name() string { return t.name }
+func (t Term) Name() string {
+	if t.IsConstant() {
+		return ""
+	}
+	return t.str
+}
 
 // ConstType returns the dynamic type of a constant term. It is only
 // meaningful when IsConstant reports true.
-func (t Term) ConstType() ConstType { return t.ctype }
+func (t Term) ConstType() ConstType { return ConstType(t.ctype) }
+
+// is reports whether t is a constant of type ct.
+func (t Term) is(ct ConstType) bool {
+	return Kind(t.kind) == KindConstant && ConstType(t.ctype) == ct
+}
 
 // StringVal returns the value of a string constant.
-func (t Term) StringVal() string { return t.s }
+func (t Term) StringVal() string {
+	if !t.is(ConstString) {
+		return ""
+	}
+	return t.str
+}
 
 // IntVal returns the value of an integer constant.
-func (t Term) IntVal() int64 { return t.i }
+func (t Term) IntVal() int64 {
+	if !t.is(ConstInt) {
+		return 0
+	}
+	return int64(t.num)
+}
 
 // FloatVal returns the value of a float constant.
-func (t Term) FloatVal() float64 { return t.f }
+func (t Term) FloatVal() float64 {
+	if !t.is(ConstFloat) {
+		return 0
+	}
+	return math.Float64frombits(t.num)
+}
 
 // BoolVal returns the value of a boolean constant.
-func (t Term) BoolVal() bool { return t.b }
+func (t Term) BoolVal() bool { return t.is(ConstBool) && t.num != 0 }
 
 // IsNumeric reports whether t is an int or float constant.
-func (t Term) IsNumeric() bool {
-	return t.kind == KindConstant && (t.ctype == ConstInt || t.ctype == ConstFloat)
-}
+func (t Term) IsNumeric() bool { return t.is(ConstInt) || t.is(ConstFloat) }
 
 // AsFloat returns the numeric value of an int or float constant as float64.
 // The second result reports whether the conversion was possible.
 func (t Term) AsFloat() (float64, bool) {
-	if t.kind != KindConstant {
+	if Kind(t.kind) != KindConstant {
 		return 0, false
 	}
-	switch t.ctype {
+	switch ConstType(t.ctype) {
 	case ConstInt:
-		return float64(t.i), true
+		return float64(int64(t.num)), true
 	case ConstFloat:
-		return t.f, true
+		return math.Float64frombits(t.num), true
 	default:
 		return 0, false
 	}
@@ -170,33 +208,30 @@ func (t Term) Equal(u Term) bool {
 	if t.kind != u.kind {
 		return false
 	}
-	switch t.kind {
-	case KindVariable, KindNull:
-		return t.name == u.name
-	default:
-		if t.ctype == u.ctype {
-			switch t.ctype {
-			case ConstString:
-				return t.s == u.s
-			case ConstInt:
-				return t.i == u.i
-			case ConstFloat:
-				return t.f == u.f
-			case ConstBool:
-				return t.b == u.b
-			}
-		}
-		tf, tok := t.AsFloat()
-		uf, uok := u.AsFloat()
-		return tok && uok && tf == uf
+	if Kind(t.kind) != KindConstant {
+		return t.str == u.str
 	}
+	if t.ctype == u.ctype {
+		switch ConstType(t.ctype) {
+		case ConstString:
+			return t.str == u.str
+		case ConstInt, ConstBool:
+			return t.num == u.num
+		case ConstFloat:
+			// Float equality, not bit equality: 0 == -0 and NaN != NaN.
+			return math.Float64frombits(t.num) == math.Float64frombits(u.num)
+		}
+	}
+	tf, tok := t.AsFloat()
+	uf, uok := u.AsFloat()
+	return tok && uok && tf == uf
 }
 
 // Compare orders two constant terms. It returns a negative value when t < u,
 // zero when equal, positive when t > u, and ok=false when the two terms are
 // not comparable (different non-numeric types, or non-constants).
 func (t Term) Compare(u Term) (cmp int, ok bool) {
-	if t.kind != KindConstant || u.kind != KindConstant {
+	if Kind(t.kind) != KindConstant || Kind(u.kind) != KindConstant {
 		return 0, false
 	}
 	if tf, tok := t.AsFloat(); tok {
@@ -215,18 +250,11 @@ func (t Term) Compare(u Term) (cmp int, ok bool) {
 	if t.ctype != u.ctype {
 		return 0, false
 	}
-	switch t.ctype {
+	switch ConstType(t.ctype) {
 	case ConstString:
-		return strings.Compare(t.s, u.s), true
+		return strings.Compare(t.str, u.str), true
 	case ConstBool:
-		tb, ub := 0, 0
-		if t.b {
-			tb = 1
-		}
-		if u.b {
-			ub = 1
-		}
-		return tb - ub, true
+		return int(t.num) - int(u.num), true
 	}
 	return 0, false
 }
@@ -235,17 +263,17 @@ func (t Term) Compare(u Term) (cmp int, ok bool) {
 // and for fact interning. Keys of distinct terms are distinct, except that
 // numerically-equal int and float constants share a key.
 func (t Term) Key() string {
-	switch t.kind {
+	switch Kind(t.kind) {
 	case KindVariable:
-		return "?" + t.name
+		return "?" + t.str
 	case KindNull:
-		return "~" + t.name
+		return "~" + t.str
 	default:
-		switch t.ctype {
+		switch ConstType(t.ctype) {
 		case ConstString:
-			return "s:" + t.s
+			return "s:" + t.str
 		case ConstBool:
-			if t.b {
+			if t.num != 0 {
 				return "b:true"
 			}
 			return "b:false"
@@ -262,11 +290,11 @@ func (t Term) Key() string {
 // String renders the term in Vadalog concrete syntax: quoted strings,
 // bare numbers, variables as their names, nulls with a ν prefix.
 func (t Term) String() string {
-	switch t.kind {
+	switch Kind(t.kind) {
 	case KindVariable:
-		return t.name
+		return t.str
 	case KindNull:
-		return "ν" + t.name
+		return "ν" + t.str
 	default:
 		return t.Display()
 	}
@@ -276,32 +304,33 @@ func (t Term) String() string {
 // natural-language explanation ("IrishBank", "57", "0.5"). Variables render
 // as <name> placeholders and nulls with their label, so Display is total.
 func (t Term) Display() string {
-	switch t.kind {
+	switch Kind(t.kind) {
 	case KindVariable:
-		return "<" + t.name + ">"
+		return "<" + t.str + ">"
 	case KindNull:
-		return "ν" + t.name
+		return "ν" + t.str
 	}
-	switch t.ctype {
+	switch ConstType(t.ctype) {
 	case ConstString:
-		return t.s
+		return t.str
 	case ConstInt:
-		return strconv.FormatInt(t.i, 10)
+		return strconv.FormatInt(int64(t.num), 10)
 	case ConstFloat:
-		if t.f == float64(int64(t.f)) {
-			return strconv.FormatInt(int64(t.f), 10)
+		f := math.Float64frombits(t.num)
+		if f == float64(int64(f)) {
+			return strconv.FormatInt(int64(f), 10)
 		}
 		// Round to 10 significant digits so accumulated binary error
 		// (0.05+0.165 = 0.21500000000000002) does not leak into
 		// explanations; Key() keeps full precision for fact identity.
-		s := strconv.FormatFloat(t.f, 'g', 10, 64)
+		s := strconv.FormatFloat(f, 'g', 10, 64)
 		if strings.Contains(s, ".") && !strings.ContainsAny(s, "eE") {
 			s = strings.TrimRight(s, "0")
 			s = strings.TrimSuffix(s, ".")
 		}
 		return s
 	case ConstBool:
-		return strconv.FormatBool(t.b)
+		return strconv.FormatBool(t.num != 0)
 	}
 	return ""
 }
@@ -309,10 +338,17 @@ func (t Term) Display() string {
 // Quote renders the term in parsable concrete syntax: string constants are
 // double-quoted, everything else matches Display.
 func (t Term) Quote() string {
-	if t.kind == KindConstant && t.ctype == ConstString {
-		return strconv.Quote(t.s)
+	if t.is(ConstString) {
+		return strconv.Quote(t.str)
 	}
 	return t.Display()
+}
+
+// Bindings resolves variables: Apply returns the binding of a bound variable
+// and any other term unchanged. Substitution implements it, as do the
+// chase's provenance frames, so atoms and conditions ground through either.
+type Bindings interface {
+	Apply(t Term) Term
 }
 
 // Substitution maps variable names to terms. It is the homomorphism θ applied
@@ -322,8 +358,8 @@ type Substitution map[string]Term
 // Apply resolves t under s: variables bound in s are replaced by their
 // binding; everything else is returned unchanged.
 func (s Substitution) Apply(t Term) Term {
-	if t.kind == KindVariable {
-		if bound, ok := s[t.name]; ok {
+	if t.IsVariable() {
+		if bound, ok := s[t.str]; ok {
 			return bound
 		}
 	}

@@ -53,19 +53,19 @@ func ValueRenderer(sub term.Substitution) Renderer {
 }
 
 // DerivationRenderer renders variables of a chase step: group-level
-// variables come from the step's substitution; contributor-varying
+// variables come from the step's frame; contributor-varying
 // variables of aggregation steps are rendered as the textual conjunction of
 // their distinct values across contributors, in contributor order ("2 and
 // 9", "C, B and F").
 func DerivationRenderer(d *chase.Derivation) Renderer {
 	return func(v string) string {
-		if t, ok := d.Sub[v]; ok {
+		if t, ok := d.Sub.Get(v); ok {
 			return t.Display()
 		}
 		var vals []string
 		seen := map[string]bool{}
 		for _, c := range d.Contributors {
-			if t, ok := c.Sub[v]; ok {
+			if t, ok := c.Sub.Get(v); ok {
 				disp := t.Display()
 				if !seen[disp] {
 					seen[disp] = true
