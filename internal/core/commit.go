@@ -97,10 +97,14 @@ type CommitterConfig struct {
 	// OnAbort, when set, records that a logged batch failed to apply so
 	// replay skips it.
 	OnAbort func(seq uint64)
-	// OnApply, when set, runs after a batch applies (the serving layer
-	// publishes the new result, bumps its counters and invalidates
-	// explanation caches); its return value is fanned out as
-	// CommitResult.Invalidated.
+	// Publish, when set, runs after a batch applies while ApplyLock is still
+	// write-held: the serving layer swaps in the new (result, epoch) pair
+	// there, so a reader holding the read side never pairs a result with a
+	// store that a later batch has already mutated.
+	Publish func(seq uint64, res *chase.Result)
+	// OnApply, when set, runs after Publish once ApplyLock is released (the
+	// serving layer bumps its counters, invalidates explanation caches and
+	// compacts); its return value is fanned out as CommitResult.Invalidated.
 	OnApply func(seq uint64, res *chase.Result, stats incremental.UpdateStats) int
 }
 
@@ -436,6 +440,9 @@ func (c *Committer) apply(ctx context.Context, mnt *incremental.Maintainer, batc
 		c.cfg.ApplyLock.Lock()
 	}
 	res, stats, err := mnt.UpdateContext(ctx, add, retract)
+	if err == nil && c.cfg.Publish != nil {
+		c.cfg.Publish(seq, res)
+	}
 	if c.cfg.ApplyLock != nil {
 		c.cfg.ApplyLock.Unlock()
 	}

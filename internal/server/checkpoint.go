@@ -373,16 +373,6 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 	}
 	sess := &session{id: id, app: h.App, extra: extra, result: res, epoch: lastSeq, syncWAL: s.logSync}
 	sess.setWAL(logHandle)
-	sess.cmt = core.NewCommitter(core.CommitterConfig{
-		Queue:        s.writeQueue,
-		Window:       s.commitWindow,
-		ApplyTimeout: s.timeout,
-		StartSeq:     lastSeq,
-		Maintainer:   m,
-		ApplyLock:    &sess.renderMu,
-		OnLog:        sess.onLog,
-		OnAbort:      sess.onAbort,
-		OnApply:      s.onApply(sess),
-	})
+	s.attachCommitter(sess, core.CommitterConfig{StartSeq: lastSeq, Maintainer: m})
 	return sess, nil
 }

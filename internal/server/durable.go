@@ -82,17 +82,23 @@ func (s *Server) newSession(id, app string, extra []ast.Atom, res *chase.Result)
 		}
 		sess.setWAL(l)
 	}
-	sess.cmt = core.NewCommitter(core.CommitterConfig{
-		Queue:        s.writeQueue,
-		Window:       s.commitWindow,
-		ApplyTimeout: s.timeout,
-		ApplyLock:    &sess.renderMu,
-		Standup:      s.standup(sess),
-		OnLog:        sess.onLog,
-		OnAbort:      sess.onAbort,
-		OnApply:      s.onApply(sess),
-	})
+	s.attachCommitter(sess, core.CommitterConfig{Standup: s.standup(sess)})
 	return sess, nil
+}
+
+// attachCommitter gives the session its group committer: cfg carries the
+// session's starting point (StartSeq and Maintainer, or Standup), and the
+// server's write-path settings and hooks fill in the rest.
+func (s *Server) attachCommitter(sess *session, cfg core.CommitterConfig) {
+	cfg.Queue = s.writeQueue
+	cfg.Window = s.commitWindow
+	cfg.ApplyTimeout = s.timeout
+	cfg.ApplyLock = &sess.renderMu
+	cfg.OnLog = sess.onLog
+	cfg.OnAbort = sess.onAbort
+	cfg.Publish = sess.publish
+	cfg.OnApply = s.onApply(sess)
+	sess.cmt = core.NewCommitter(cfg)
 }
 
 // standup returns the committer's lazy maintainer factory for a fresh
@@ -143,23 +149,33 @@ func (sess *session) onAbort(seq uint64) {
 	_ = sess.syncWAL(l)
 }
 
-// onApply publishes an applied batch: the repaired fixpoint and its commit
-// epoch become the session's read state, cached explanations rendered
-// against the previous epoch are removed, and the server-wide incremental
-// counters advance once per batch. It runs on the session's commit leader,
-// which is also where compaction triggers: the leader is quiescent between
-// batches, so the checkpoint it writes is exactly the state at seq.
+// publish makes an applied batch the session's read state: the repaired
+// fixpoint and its commit epoch. The committer calls it while still
+// write-holding renderMu, so a handler that reads the state under the read
+// side always renders a result that matches the store. Explanations cached
+// for the previous epoch are handed to onApply for removal.
+func (sess *session) publish(seq uint64, res *chase.Result) {
+	sess.stateMu.Lock()
+	sess.result = res
+	sess.epoch = seq
+	sess.staleKeys = sess.explKeys
+	sess.explKeys = nil
+	sess.stateMu.Unlock()
+}
+
+// onApply finishes an applied batch once renderMu is released: cached
+// explanations rendered against the previous epoch are removed, and the
+// server-wide incremental counters advance once per batch. It runs on the
+// session's commit leader, which is also where compaction triggers: the
+// leader is quiescent between batches, so the checkpoint it writes is
+// exactly the state at seq.
 func (s *Server) onApply(sess *session) func(uint64, *chase.Result, incremental.UpdateStats) int {
 	return func(seq uint64, res *chase.Result, stats incremental.UpdateStats) int {
 		if s.testHookApply != nil {
 			s.testHookApply()
 		}
-		sess.stateMu.Lock()
-		sess.result = res
-		sess.epoch = seq
-		stale := sess.explKeys
-		sess.explKeys = nil
-		sess.stateMu.Unlock()
+		stale := sess.staleKeys
+		sess.staleKeys = nil
 		invalidated := 0
 		for _, key := range stale {
 			if s.explanations.Remove(key) {
@@ -321,17 +337,7 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*session, error
 	}
 	sess := &session{id: id, app: rec.Header.App, extra: rec.Header.Base, result: res, epoch: rec.LastSeq(), syncWAL: s.logSync}
 	sess.setWAL(log)
-	sess.cmt = core.NewCommitter(core.CommitterConfig{
-		Queue:        s.writeQueue,
-		Window:       s.commitWindow,
-		ApplyTimeout: s.timeout,
-		StartSeq:     rec.LastSeq(),
-		Maintainer:   m,
-		ApplyLock:    &sess.renderMu,
-		OnLog:        sess.onLog,
-		OnAbort:      sess.onAbort,
-		OnApply:      s.onApply(sess),
-	})
+	s.attachCommitter(sess, core.CommitterConfig{StartSeq: rec.LastSeq(), Maintainer: m})
 	s.restores.Add(1)
 	d := time.Since(start)
 	s.restoreNanos.Add(uint64(d))

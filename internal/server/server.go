@@ -70,6 +70,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,10 @@ import (
 type Server struct {
 	// pipes is immutable after construction.
 	pipes map[string]*core.Pipeline
+	// scenarios holds each app's parsed bundled scenario facts, shared
+	// read-only by every session opened with scenario: true. Immutable
+	// after construction.
+	scenarios map[string][]ast.Atom
 	// sessions is the bounded session store: least recently used sessions
 	// are evicted at capacity (their immutable chase results are shared
 	// with the pipeline result cache, so eviction only drops the handle).
@@ -185,10 +190,18 @@ type Server struct {
 	// testHookInflight, when set, runs inside guard while the semaphore
 	// slot is held — tests use it to saturate admission deterministically.
 	testHookInflight func()
-	// testHookApply, when set, runs at the start of every commit
-	// publication — tests use it to pin the commit leader so writes pile
-	// up in the queue deterministically.
+	// testHookApply, when set, runs on the commit leader after every batch
+	// is published and renderMu released — tests use it to pin the commit
+	// leader so writes pile up in the queue deterministically.
 	testHookApply func()
+	// testHookRender, when set, runs in handleExplain between reading the
+	// session's (result, epoch) and rendering against it — tests use it to
+	// land a commit in that window or to fail a render.
+	testHookRender func()
+	// testHookSubmit, when set, runs in handleFacts between resolving the
+	// session and submitting the write — tests use it to evict the session
+	// in that window.
+	testHookSubmit func(id string)
 	// testHookRestore, when set, runs inside every session restore after the
 	// singleflight slot is claimed — tests use it to hold N distinct
 	// restores in flight at once, proving they no longer serialize.
@@ -204,11 +217,11 @@ type Server struct {
 // per-session group committer: its single leader goroutine owns the
 // maintainer, so no handler ever holds a lock across an incremental
 // repair. stateMu guards the published read state (result, epoch,
-// explKeys) with short critical sections only: the committer's apply hook
-// swaps the repaired fixpoint in atomically, and /explain reads result and
-// epoch under it, so a response is always rendered against a consistent
-// (fixpoint, epoch) pair; rendering additionally read-holds renderMu so it
-// never overlaps the mutation of the store it is reading.
+// explKeys) with short critical sections only. The committer write-holds
+// renderMu across each repair and the publication of its (fixpoint, epoch)
+// pair; handlers read-hold it from before they read that pair until they
+// have rendered against it, so a response never pairs a fixpoint with a
+// store a later commit has mutated.
 type session struct {
 	// id is the session's name in the session table and on disk (WAL and
 	// snapshot files). Immutable after construction.
@@ -222,6 +235,9 @@ type session struct {
 	// snapshot — the commit-count compaction trigger. Only the session's
 	// commit leader (the OnApply hook) touches it.
 	deltasSinceSnap int
+	// staleKeys carries the previous epoch's explanation-cache keys from
+	// publish to onApply; only the commit leader touches it.
+	staleKeys []string
 	// cmt is the session's group committer (see core.Committer); its leader
 	// goroutine starts on the first write.
 	cmt *core.Committer
@@ -413,6 +429,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		pipes:          map[string]*core.Pipeline{},
+		scenarios:      map[string][]ast.Atom{},
 		fingerprints:   map[string]string{},
 		assigned:       map[string]bool{},
 		sessions:       lru.New[string, *session](opts.MaxSessions),
@@ -446,6 +463,7 @@ func NewWithOptions(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: compiling %s: %w", a.Name, err)
 		}
 		s.pipes[a.Name] = p
+		s.scenarios[a.Name] = a.Scenario()
 		s.fingerprints[a.Name] = programFingerprint(p.Program())
 	}
 	if s.walDir != "" {
@@ -566,15 +584,14 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("epoch requires a session"))
 		return
 	}
-	app, err := apps.ByName(req.App)
-	if err != nil {
+	if _, err := apps.ByName(req.App); err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	pipe := s.pipe(req.App)
-	extra := app.Scenario()
-	if !req.Scenario {
-		extra = nil
+	var extra []ast.Atom
+	if req.Scenario {
+		extra = s.scenarios[req.App]
 	}
 	if req.Facts != "" {
 		factProg, err := parser.Parse(req.Facts)
@@ -582,7 +599,9 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("facts: %w", err))
 			return
 		}
-		extra = append(extra, factProg.Facts...)
+		// Clip so the append copies instead of writing into the shared
+		// scenario slice.
+		extra = append(slices.Clip(extra), factProg.Facts...)
 	}
 	var id string
 	if req.AssignID != "" {
@@ -637,14 +656,19 @@ func (s *Server) handleSessionRead(w http.ResponseWriter, r *http.Request, req r
 	if !s.awaitEpoch(w, r.Context(), sess, req.Epoch) {
 		return
 	}
-	res, epoch := sess.read()
+	writeJSON(w, http.StatusOK, sess.readAnswers(req.Session))
+}
+
+// readAnswers renders the session's published answers under renderMu.
+func (sess *session) readAnswers(id string) reasonResponse {
 	sess.renderMu.RLock()
-	resp := reasonResponse{Session: req.Session, Epoch: epoch, Rounds: res.Rounds, Facts: res.Store.LiveLen()}
+	defer sess.renderMu.RUnlock()
+	res, epoch := sess.read()
+	resp := reasonResponse{Session: id, Epoch: epoch, Rounds: res.Rounds, Facts: res.Store.LiveLen()}
 	for _, fid := range res.Answers() {
 		resp.Answers = append(resp.Answers, res.Store.Get(fid).String())
 	}
-	sess.renderMu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // validateAssignedID checks the client-assigned session id grammar:
@@ -811,7 +835,19 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	// the shared commit epoch and result. The apply itself runs detached
 	// from r.Context() under the server timeout — a client hanging up
 	// abandons only its wait, never a repair in progress.
+	if s.testHookSubmit != nil {
+		s.testHookSubmit(req.Session)
+	}
 	res, err := sess.cmt.Submit(r.Context(), add, retract, req.Async)
+	if errors.Is(err, core.ErrCommitterClosed) {
+		// The session was evicted between lookup and Submit. A closed
+		// committer refuses writes before logging them, so resubmitting to
+		// the restored session cannot apply this write twice.
+		if sess, ok = s.liveSession(w, r.Context(), req.Session); !ok {
+			return
+		}
+		res, err = sess.cmt.Submit(r.Context(), add, retract, req.Async)
+	}
 	if err != nil {
 		if errors.Is(err, core.ErrQueueFull) {
 			s.sessionBusy.Add(1)
@@ -827,9 +863,15 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, asyncFactsResponse{Session: req.Session, Epoch: res.Seq})
 		return
 	}
+	writeJSON(w, http.StatusOK, sess.commitAnswers(req.Session, res))
+}
+
+// commitAnswers renders a commit's repaired fixpoint under renderMu.
+func (sess *session) commitAnswers(id string, res *core.CommitResult) factsResponse {
 	sess.renderMu.RLock()
+	defer sess.renderMu.RUnlock()
 	resp := factsResponse{
-		Session:                 req.Session,
+		Session:                 id,
 		Epoch:                   res.Seq,
 		Stats:                   res.Stats,
 		Facts:                   res.Result.Store.LiveLen(),
@@ -839,8 +881,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	for _, fid := range res.Result.Answers() {
 		resp.Answers = append(resp.Answers, res.Result.Store.Get(fid).String())
 	}
-	sess.renderMu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // explainResponse is the JSON form of one explanation, including the proof
@@ -883,24 +924,37 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	resp, err := s.renderExplain(sess, sessionID, query)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// renderExplain answers one explanation query against the session's
+// published fixpoint, from the rendered-explanation cache when it can. It
+// read-holds renderMu from before it reads (result, epoch) until the
+// response is built, and releases it on every path, a panic included.
+func (s *Server) renderExplain(sess *session, sessionID, query string) (*explainResponse, error) {
+	sess.renderMu.RLock()
+	defer sess.renderMu.RUnlock()
 	// Session ids are never reused and the session's epoch is part of the
 	// key, so a cached rendering can only ever repeat a response this exact
 	// session produced against its current fixpoint; the live-session check
-	// above keeps unrestorable sessions from answering, and every commit
-	// removes the previous epoch's entries. Errors are never cached.
+	// keeps unrestorable sessions from answering, and every commit removes
+	// the previous epoch's entries. Errors are never cached.
 	result, epoch := sess.read()
 	cacheKey := sessionID + "#" + strconv.FormatUint(epoch, 10) + "\x00" + query
 	if resp, ok := s.explanations.Get(cacheKey); ok {
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, nil
 	}
-	pipe := s.pipe(sess.app)
-	sess.renderMu.RLock()
-	e, err := pipe.ExplainQuery(result, query)
+	if s.testHookRender != nil {
+		s.testHookRender()
+	}
+	e, err := s.pipe(sess.app).ExplainQuery(result, query)
 	if err != nil {
-		sess.renderMu.RUnlock()
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, err
 	}
 	resp := &explainResponse{
 		Fact:           e.Fact.String(),
@@ -917,16 +971,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.ProofSteps = append(resp.ProofSteps, step)
 	}
-	sess.renderMu.RUnlock()
-	// Cache only if the session has not moved on while we rendered: an
-	// entry for a superseded epoch would dodge the next invalidation sweep.
+	// Holding renderMu, the session cannot have moved past epoch, so the
+	// entry belongs to the current epoch and the next commit removes it.
 	sess.stateMu.Lock()
-	if sess.epoch == epoch {
-		s.explanations.Put(cacheKey, resp)
-		sess.explKeys = append(sess.explKeys, cacheKey)
-	}
+	s.explanations.Put(cacheKey, resp)
+	sess.explKeys = append(sess.explKeys, cacheKey)
 	sess.stateMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // statsResponse is the /stats payload: serving-layer cache accounting plus

@@ -508,3 +508,29 @@ func TestConcurrentMutation(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// TestScenarioSharedAcrossSessions: the parsed bundled scenario is shared by
+// every session that asks for it, so a request adding its own facts on top
+// must copy it: two sessions extending the scenario with different facts
+// keep their own base facts (a session re-reads them when its first write
+// stands up its maintainer), and a scenario-only session sees exactly the
+// scenario.
+func TestScenarioSharedAcrossSessions(t *testing.T) {
+	ts := newTestServer(t)
+	var plain, q, r, again reasonResponse
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","scenario":true}`, &plain)
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","scenario":true,"facts":"Own(\"H\",\"Q\",0.9)."}`, &q)
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","scenario":true,"facts":"Own(\"H\",\"R\",0.9)."}`, &r)
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","scenario":true}`, &again)
+	if again.Facts != plain.Facts || strings.Join(again.Answers, ";") != strings.Join(plain.Answers, ";") {
+		t.Errorf("scenario changed after requests extended it: %+v, want %+v", again, plain)
+	}
+	var fr factsResponse
+	if resp := postJSON(t, ts.URL+"/facts", `{"session":"`+q.Session+`","add":"Own(\"Q\",\"S\",0.8)."}`, &fr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("write: status = %d", resp.StatusCode)
+	}
+	answers := strings.Join(fr.Answers, ";")
+	if !strings.Contains(answers, "Control(H, Q)") || strings.Contains(answers, "Control(H, R)") {
+		t.Errorf("session opened with Own(H, Q) answers %s", answers)
+	}
+}
