@@ -60,8 +60,15 @@ func (a Atom) Variables() []string {
 	return out
 }
 
+// Bindings resolves variables while grounding: Apply returns a bound
+// variable's binding and any other term unchanged. term.Substitution
+// implements it, as do the chase's provenance frames.
+type Bindings interface {
+	Apply(t term.Term) term.Term
+}
+
 // Apply returns a copy of the atom with the bindings applied to every term.
-func (a Atom) Apply(s term.Bindings) Atom {
+func (a Atom) Apply(s Bindings) Atom {
 	out := Atom{Predicate: a.Predicate, Terms: make([]term.Term, len(a.Terms))}
 	for i, t := range a.Terms {
 		out.Terms[i] = s.Apply(t)
@@ -188,7 +195,7 @@ func (c Condition) Variables() []string {
 
 // Holds evaluates the condition under the bindings. It returns an error
 // when a side is still unbound or the two sides are incomparable.
-func (c Condition) Holds(s term.Bindings) (bool, error) {
+func (c Condition) Holds(s Bindings) (bool, error) {
 	l := s.Apply(c.Left)
 	r := s.Apply(c.Right)
 	if l.IsVariable() {

@@ -51,7 +51,7 @@
 //
 // Run and MustRun are safe to call concurrently — every call builds its
 // own engine and store. A *Result and everything reachable from it
-// (Store, Steps, Derivations, extracted Proofs) is immutable after Run
+// (Store, Steps, derivations, extracted Proofs) is immutable after Run
 // returns and safe for any number of concurrent readers; the explanation
 // service serves concurrent queries over shared results this way. The
 // internal engine type is not safe for concurrent use; its parallel join
@@ -102,10 +102,10 @@ type Derivation struct {
 	// Contributors is non-empty exactly for aggregation rules: one entry
 	// per contributing homomorphism.
 	Contributors []Contribution
-	// Sub is the homomorphism of the chase step, as an immutable Frame
-	// shared by nothing else (see Contribution.Sub). For aggregation rules
-	// it binds the group variables and the aggregate target;
-	// contributor-only variables are not included.
+	// Sub is the homomorphism of the chase step as an immutable Frame (see
+	// Contribution.Sub). For aggregation rules it binds the group variables
+	// and the aggregate target; contributor-only variables are not
+	// included.
 	Sub Frame
 }
 
@@ -155,9 +155,9 @@ type Result struct {
 	Store *database.Store
 	// Steps are all chase steps in chronological order.
 	Steps []*Derivation
-	// derivs indexes derivations by derived fact; the first entry is the
-	// canonical (earliest) derivation used for proofs.
-	derivs map[database.FactID][]*Derivation
+	// derivs indexes derivations by fact id (nil for extensional facts and
+	// past its end). It shares the engine's index: see engine.record.
+	derivs []*Derivation
 	// superseded marks aggregate facts replaced by a more complete total.
 	superseded map[database.FactID]bool
 	// Rounds is the number of evaluation rounds until fixpoint.
@@ -181,20 +181,13 @@ type Result struct {
 	memo     *proofMemo
 }
 
-// Derivations returns all recorded derivations of a fact, earliest first.
-// Extensional facts have none.
-func (r *Result) Derivations(id database.FactID) []*Derivation {
-	return r.derivs[id]
-}
-
-// CanonicalDerivation returns the earliest derivation of a fact, or nil for
-// extensional facts.
+// CanonicalDerivation returns the derivation of a fact (the chase step that
+// added it), or nil for extensional facts.
 func (r *Result) CanonicalDerivation(id database.FactID) *Derivation {
-	ds := r.derivs[id]
-	if len(ds) == 0 {
+	if uint(id) >= uint(len(r.derivs)) {
 		return nil
 	}
-	return ds[0]
+	return r.derivs[id]
 }
 
 // Superseded reports whether the fact is a stale aggregate emission.

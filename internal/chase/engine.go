@@ -97,7 +97,7 @@ type engine struct {
 	prog       *ast.Program
 	store      *database.Store
 	steps      []*Derivation
-	derivs     map[database.FactID][]*Derivation
+	derivs     []*Derivation // see record
 	superseded map[database.FactID]bool
 	// aggState tracks, per aggregation rule and group, the last emitted
 	// fact so that an updated total supersedes it.
@@ -690,8 +690,7 @@ func (e *engine) emitCols(r *ast.Rule, p *plan, st *batchCols) (bool, error) {
 			Premises: premises,
 			Sub:      Frame{vars: p.bindVars, vals: vals},
 		}
-		e.steps = append(e.steps, d)
-		e.derivs[f.ID] = append(e.derivs[f.ID], d)
+		e.record(d)
 		changed = true
 	}
 	e.emitBuf = buf
@@ -1116,9 +1115,21 @@ func (e *engine) emit(r *ast.Rule, head ast.Atom, premises []database.FactID, co
 		Contributors: contrib,
 		Sub:          sub,
 	}
-	e.steps = append(e.steps, d)
-	e.derivs[f.ID] = append(e.derivs[f.ID], d)
+	e.record(d)
 	return true, nil
+}
+
+// record appends a chase step and indexes it under its fact. Emission
+// records a step only for a fact it has just added, so a fact has at most
+// one derivation and the index, a slice by fact id, is only ever written
+// past the end it had at the previous Snapshot. That is what lets every
+// Snapshot share it instead of copying it.
+func (e *engine) record(d *Derivation) {
+	e.steps = append(e.steps, d)
+	for len(e.derivs) <= int(d.Fact) {
+		e.derivs = append(e.derivs, nil)
+	}
+	e.derivs[d.Fact] = d
 }
 
 // emitAgg emits an aggregation result and supersedes the rule's previous

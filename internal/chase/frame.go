@@ -13,7 +13,7 @@ import (
 // layout whose names are sorted ascending. Layouts are interned per engine,
 // so all frames of one rule share one names slice and a frame costs one
 // slice of 32-byte terms — not the hash map a term.Substitution is. Frame
-// implements term.Bindings, so atoms and conditions ground through it
+// implements ast.Bindings, so atoms and conditions ground through it
 // directly; Substitution materializes a map for consumers that need one.
 // The zero Frame binds nothing.
 type Frame struct {

@@ -93,7 +93,6 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 	e := &engine{
 		prog:       p,
 		store:      database.NewStore(),
-		derivs:     map[database.FactID][]*Derivation{},
 		superseded: map[database.FactID]bool{},
 		aggState:   map[string]aggEmission{},
 		lastSeen:   map[*ast.Rule]int{},
@@ -221,17 +220,14 @@ func existentialRules(p *ast.Program) []*ast.Rule {
 }
 
 // Snapshot materializes the current fixpoint as a Result. The Result shares
-// the (grow-only) store and step list but owns copies of the per-fact
-// derivation index and the superseded set, so a snapshot taken before an
-// update remains a consistent view afterwards — its proof memo is built
-// lazily from its own maps. Each call returns a fresh Result with its own
-// memo, so proofs extracted from it reflect exactly this fixpoint.
+// the (grow-only) store, step list and per-fact derivation index — later
+// updates only append past the ends they had here — but owns a copy of the
+// superseded set, so a snapshot taken before an update remains a consistent
+// view afterwards; its proof memo is built lazily from that view. Each call
+// returns a fresh Result with its own memo, so proofs extracted from it
+// reflect exactly this fixpoint.
 func (l *Live) Snapshot() *Result {
 	e := l.e
-	derivs := make(map[database.FactID][]*Derivation, len(e.derivs))
-	for k, v := range e.derivs {
-		derivs[k] = v
-	}
 	superseded := make(map[database.FactID]bool, len(e.superseded))
 	for k, v := range e.superseded {
 		superseded[k] = v
@@ -240,7 +236,7 @@ func (l *Live) Snapshot() *Result {
 		Program:     e.prog,
 		Store:       e.store,
 		Steps:       e.steps,
-		derivs:      derivs,
+		derivs:      e.derivs[:len(e.derivs):len(e.derivs)],
 		superseded:  superseded,
 		Rounds:      l.rounds,
 		LoadSeconds: l.loadSeconds,

@@ -227,7 +227,6 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 	e := &engine{
 		prog:       p,
 		store:      database.NewStore(),
-		derivs:     map[database.FactID][]*Derivation{},
 		superseded: map[database.FactID]bool{},
 		aggState:   map[string]aggEmission{},
 		lastSeen:   map[*ast.Rule]int{},
@@ -311,9 +310,10 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		if int(fact) >= e.store.Len() {
 			return nil, fmt.Errorf("chase: restore: step %d derives unknown fact %d", i, fact)
 		}
-		d := &Derivation{Step: int(i), Rule: rule, Fact: fact, Premises: premises, Contributors: contribs, Sub: sub}
-		e.steps = append(e.steps, d)
-		e.derivs[fact] = append(e.derivs[fact], d)
+		if int(fact) < len(e.derivs) && e.derivs[fact] != nil {
+			return nil, fmt.Errorf("chase: restore: step %d derives fact %d a second time", i, fact)
+		}
+		e.record(&Derivation{Step: int(i), Rule: rule, Fact: fact, Premises: premises, Contributors: contribs, Sub: sub})
 	}
 
 	for _, id := range r.ids() {
@@ -567,19 +567,7 @@ func (r *stateReader) f64() float64 {
 
 func (r *stateReader) bool() bool { return r.byte() != 0 }
 
-func (r *stateReader) str() string {
-	n := r.uint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.data)-r.off) < n {
-		r.fail("truncated string of length %d at offset %d", n, r.off)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
+func (r *stateReader) str() string { return string(r.strBytes()) }
 
 // strBytes is str without the copy: the bytes alias the payload.
 func (r *stateReader) strBytes() []byte {

@@ -254,9 +254,11 @@ type session struct {
 
 	// renderMu excludes response rendering from batch application: results
 	// share the maintainer's grow-only store, so the committer write-holds
-	// it across each repair and handlers read-hold it while materializing
-	// answers, explanations and fact counts. Readers never wait for queued
-	// writes — only for a repair that is mutating the store right now.
+	// it across each repair and the publication of its result, and
+	// handlers read-hold it from reading the published result until they
+	// have materialized answers, explanations and fact counts. Readers
+	// never wait for queued writes — only for a repair that is mutating
+	// the store right now.
 	renderMu sync.RWMutex
 
 	stateMu sync.Mutex

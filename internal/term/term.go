@@ -344,13 +344,6 @@ func (t Term) Quote() string {
 	return t.Display()
 }
 
-// Bindings resolves variables: Apply returns the binding of a bound variable
-// and any other term unchanged. Substitution implements it, as do the
-// chase's provenance frames, so atoms and conditions ground through either.
-type Bindings interface {
-	Apply(t Term) Term
-}
-
 // Substitution maps variable names to terms. It is the homomorphism θ applied
 // during a chase step, restricted to the variables of one rule.
 type Substitution map[string]Term
