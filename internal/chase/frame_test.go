@@ -115,9 +115,10 @@ func TestFrameGetAllocs(t *testing.T) {
 }
 
 // TestFrameDecodeRejectsUnsortedNames: the codec writes frame names strictly
-// ascending, so a payload with unsorted or repeated names is corrupt.
+// ascending, so a payload with unsorted or repeated names is corrupt, as is
+// one whose name holds a NUL byte (it would split in the layout key).
 func TestFrameDecodeRejectsUnsortedNames(t *testing.T) {
-	for _, names := range [][]string{{"Y", "X"}, {"X", "X"}} {
+	for _, names := range [][]string{{"Y", "X"}, {"X", "X"}, {"A\x00B"}, {"A", "B\x00"}} {
 		w := &stateWriter{}
 		w.uint(uint64(len(names)))
 		for _, n := range names {

@@ -26,6 +26,7 @@ package chase
 // including the state of a just-restored engine — yields the same bytes.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -622,6 +623,11 @@ func (r *stateReader) frame(e *engine) Frame {
 		}
 		if i > 0 && string(name) <= string(prev) {
 			r.fail("substitution names out of order at offset %d", r.off)
+			return Frame{}
+		}
+		if bytes.IndexByte(name, 0) >= 0 {
+			// A NUL would split the name in the layout key.
+			r.fail("substitution name with a NUL byte at offset %d", r.off)
 			return Frame{}
 		}
 		prev = name

@@ -130,7 +130,7 @@ func TestEvictLockedAtomicWithRemoval(t *testing.T) {
 	registered := false
 	c.OnEvictLocked(func(k string, v int) {
 		close(inHook)
-		<-release    // hold the critical section open
+		<-release         // hold the critical section open
 		registered = true // the "side table" write, inside the section
 	})
 	c.Put("a", 1)

@@ -84,11 +84,11 @@ func (t ConstType) String() string {
 // A Term is 32 bytes: str holds a string constant's value or a variable's
 // name or a null's label, and num holds an int constant's two's-complement
 // bits, a float constant's IEEE bits, or 1 for true. Terms sit inline in
-// every fact row, atom and provenance frame, so their size is most of a
-// session's resident heap. Compare terms with Equal and key maps by Key: the
-// zero-size func array makes == and map keys on Term a compile error, since
-// bitwise identity is not term identity (3 and 3.0, or 0 and -0.0, are equal
-// terms with different bits).
+// every atom, dictionary entry and provenance frame, so their size is much
+// of a session's resident heap. Compare terms with Equal and key maps by
+// Key: the zero-size func array makes == and map keys on Term a compile
+// error, since bitwise identity is not term identity (3 and 3.0, or 0 and
+// -0.0, are equal terms with different bits).
 type Term struct {
 	_     [0]func()
 	str   string
