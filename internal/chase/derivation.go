@@ -49,6 +49,13 @@
 // immutable plan and only read the store, the superseded set, and the
 // interner.
 //
+// Plan immutability extends across engines: Compile builds a Program once
+// — validated, stratified, with the join plans of every rule whose atoms
+// hold no constant — and one such plan serves every engine of the program,
+// run from scratch (Program.RunLiveContext) or restored from a snapshot
+// (Program.RestoreLive), concurrently. A plan that holds constants is
+// compiled per engine against its own dictionary.
+//
 // Run and MustRun are safe to call concurrently — every call builds its
 // own engine and store. A *Result and everything reachable from it
 // (Store, Steps, derivations, extracted Proofs) is immutable after Run

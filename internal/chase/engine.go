@@ -94,6 +94,8 @@ func MustRun(p *ast.Program, opts Options) *Result {
 }
 
 type engine struct {
+	// cp is the compiled program the engine runs; prog is its source.
+	cp         *Program
 	prog       *ast.Program
 	store      *database.Store
 	steps      []*Derivation
@@ -126,8 +128,9 @@ type engine struct {
 	// rule's next evaluation recomputes exactly those groups even when no
 	// new contributor arrived. Nil outside incremental updates.
 	dirtyGroups map[*ast.Rule]map[string]bool
-	// plans caches the compiled slot-plan of each rule (and of constraint
-	// pseudo-rules); unused in legacy mode.
+	// plans caches the engine's own compiled slot-plans: those of rules
+	// and constraint pseudo-rules whose plans intern constants (the others
+	// are the program's shared plans); unused in legacy mode.
 	plans    map[*ast.Rule]*plan
 	nullSeq  int
 	maxFacts int
@@ -208,10 +211,11 @@ type binding struct {
 	facts []database.FactID
 }
 
-// planFor returns the cached compiled plan of the rule, compiling it on
-// first use (rules at Run start, constraint pseudo-rules when checked).
+// planFor returns the compiled plan of the rule, compiling it against the
+// engine's dictionary on first use when the program shares none (rules at
+// Run start, constraint pseudo-rules when first checked).
 func (e *engine) planFor(r *ast.Rule) (*plan, error) {
-	if p, ok := e.plans[r]; ok {
+	if p := e.plan(r); p != nil {
 		return p, nil
 	}
 	p, err := compilePlan(r, e.store.Interner())
@@ -219,8 +223,20 @@ func (e *engine) planFor(r *ast.Rule) (*plan, error) {
 		return nil, err
 	}
 	e.compileFrames(p)
+	if e.plans == nil {
+		e.plans = map[*ast.Rule]*plan{}
+	}
 	e.plans[r] = p
 	return p, nil
+}
+
+// plan returns the rule's plan, shared or the engine's own; nil before
+// planFor compiled it.
+func (e *engine) plan(r *ast.Rule) *plan {
+	if p := e.cp.plans[r]; p != nil {
+		return p
+	}
+	return e.plans[r]
 }
 
 // atomFilter restricts which facts an atom position may match during
@@ -432,18 +448,11 @@ func (e *engine) finishBindings(r *ast.Rule, pending []binding) ([]binding, erro
 // checkConstraints verifies every negative constraint against the saturated
 // store, reporting the first violating homomorphism.
 func (e *engine) checkConstraints() error {
-	for _, c := range e.prog.Constraints {
+	for i, c := range e.prog.Constraints {
 		if err := e.checkCtx(); err != nil {
 			return err
 		}
-		pseudo := &ast.Rule{
-			Label:      c.Label,
-			Head:       ast.NewAtom("⊥"),
-			Body:       c.Body,
-			Negated:    c.Negated,
-			Conditions: c.Conditions,
-		}
-		bindings, err := e.joinBody(pseudo)
+		bindings, err := e.joinBody(e.cp.constraints[i])
 		if err != nil {
 			return fmt.Errorf("chase: constraint %s: %w", c.Label, err)
 		}
@@ -933,7 +942,7 @@ func (e *engine) groupKeyOf(r *ast.Rule, groupVars []string, b binding) string {
 			}
 		}
 	} else {
-		p := e.plans[r]
+		p := e.plan(r)
 		for _, ref := range p.groupRefs {
 			switch ref.kind {
 			case refSlot:
@@ -971,7 +980,7 @@ func (e *engine) groupFrame(r *ast.Rule, groupVars []string, b binding) Frame {
 		}
 		return e.frameOf(sub)
 	}
-	p := e.plans[r]
+	p := e.plan(r)
 	return slotFrame(p.groupVars, p.groupSrc, e.store.Interner(), b.frame, b.vals)
 }
 
@@ -982,7 +991,7 @@ func (e *engine) bindingValue(r *ast.Rule, b binding, name string) (term.Term, b
 		t, ok := b.sub[name]
 		return t, ok
 	}
-	p := e.plans[r]
+	p := e.plan(r)
 	switch ref := p.overRef; {
 	case ref.name == name && ref.kind == refSlot:
 		return e.store.Interner().Value(b.frame[ref.idx]), true

@@ -75,8 +75,14 @@ func (f Frame) Substitution() term.Substitution {
 }
 
 // layoutKeyed returns the interned layout whose names, each followed by a 0
-// byte, make up key. A hit allocates nothing; key may be scratch.
+// byte, make up key: the program's shared layout if it has one, else the
+// engine's own. A hit allocates nothing; key may be scratch.
 func (e *engine) layoutKeyed(key []byte) *frameVars {
+	if e.cp != nil {
+		if v, ok := e.cp.layouts[string(key)]; ok {
+			return v
+		}
+	}
 	if v, ok := e.layouts[string(key)]; ok {
 		return v
 	}
@@ -210,6 +216,6 @@ func (e *engine) bindingFrame(r *ast.Rule, b binding) Frame {
 	if b.sub != nil {
 		return e.frameOf(b.sub)
 	}
-	p := e.plans[r]
+	p := e.plan(r)
 	return slotFrame(p.bindVars, p.bindSrc, e.store.Interner(), b.frame, b.vals)
 }

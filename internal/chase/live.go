@@ -24,32 +24,23 @@ package chase
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/database"
-	"repro/internal/depgraph"
 	"repro/internal/term"
 )
 
 // Live is a chase run kept resident after fixpoint for incremental
 // maintenance.
 type Live struct {
-	e          *engine
-	strata     map[string]int
-	maxStratum int
-	maxRounds  int
+	e         *engine
+	maxRounds int
 	// rounds accumulates evaluation rounds across the initial run and every
 	// Saturate since; Snapshot reports it as Result.Rounds.
 	rounds int
-	// existRules are rules with existentially quantified head variables.
-	// Their firing is pre-empted by existing facts, so a retraction can
-	// un-pre-empt them; any retraction resets them to a full re-join.
-	existRules []*ast.Rule
-	hasNeg     bool
 	// loadSeconds/evalSeconds split the initial run's wall time; see
 	// Result.LoadSeconds.
 	loadSeconds float64
@@ -66,49 +57,33 @@ func RunLive(p *ast.Program, opts Options) (*Live, error) {
 // The context only governs the initial fixpoint computation: a successfully
 // returned Live is detached from it, so a request-scoped context that
 // expires later cannot poison subsequent maintenance — install per-update
-// contexts with SetContext instead.
+// contexts with SetContext instead. It compiles the program for this run
+// alone; callers that run one program many times compile it once (Compile)
+// and call Program.RunLiveContext.
 func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, error) {
 	if err := ContextErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("chase: invalid program: %w", err)
+	cp, err := Compile(p)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Batch && opts.Legacy {
-		return nil, fmt.Errorf("chase: options Batch and Legacy are mutually exclusive")
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	maxFacts := opts.MaxFacts
-	if maxFacts <= 0 {
-		maxFacts = defaultMaxFacts
-	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return cp.RunLiveContext(ctx, opts)
+}
 
-	e := &engine{
-		prog:       p,
-		store:      database.NewStore(),
-		superseded: map[database.FactID]bool{},
-		aggState:   map[string]aggEmission{},
-		lastSeen:   map[*ast.Rule]int{},
-		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
-		aggOrder:   map[*ast.Rule][]string{},
-		aggSeen:    map[*ast.Rule]map[string]struct{}{},
-		lastSuper:  map[*ast.Rule]int{},
-		plans:      map[*ast.Rule]*plan{},
-		maxFacts:   maxFacts,
-		naive:      opts.Naive,
-		legacy:     opts.Legacy,
-		batch:      opts.Batch,
-		workers:    workers,
+// RunLiveContext runs the compiled program to fixpoint and keeps the engine
+// resident (see the package-level RunLiveContext).
+func (cp *Program) RunLiveContext(ctx context.Context, opts Options) (*Live, error) {
+	if err := ContextErr(ctx); err != nil {
+		return nil, err
 	}
+	l, err := cp.newLive(opts)
+	if err != nil {
+		return nil, fmt.Errorf("chase: %w", err)
+	}
+	e := l.e
 	loadStart := time.Now()
-	for _, f := range p.Facts {
+	for _, f := range cp.prog.Facts {
 		if _, _, err := e.store.Add(f, true); err != nil {
 			return nil, err
 		}
@@ -123,45 +98,14 @@ func RunLiveContext(ctx context.Context, p *ast.Program, opts Options) (*Live, e
 	}
 	evalStart := time.Now()
 
-	// Compile every rule into its slot-based join plans up front (the
-	// legacy engine interprets rules directly and needs none). Constants
-	// are interned into the store's dictionary here, before any join runs.
-	if !e.legacy {
-		for _, r := range p.Rules {
-			if _, err := e.planFor(r); err != nil {
-				return nil, fmt.Errorf("chase: rule %s: %w", r.Label, err)
-			}
-		}
-	}
-
-	// Stratify: rules are evaluated stratum by stratum so that negated
-	// predicates are fully saturated before any rule reads them.
-	strata, err := depgraph.New(p).Stratify()
-	if err != nil {
+	// Compile the rules the program shares no plan for up front: their
+	// constants are interned into the store's dictionary here, before any
+	// join runs.
+	if err := e.compilePlans(); err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
-	}
-	maxStratum := 0
-	for _, s := range strata {
-		if s > maxStratum {
-			maxStratum = s
-		}
 	}
 
 	e.ctx = ctx
-	l := &Live{
-		e:          e,
-		strata:     strata,
-		maxStratum: maxStratum,
-		maxRounds:  maxRounds,
-		existRules: existentialRules(p),
-	}
-	for _, r := range p.Rules {
-		if len(r.Negated) > 0 {
-			l.hasNeg = true
-			break
-		}
-	}
-
 	rounds, err := l.Saturate(nil)
 	if err != nil {
 		return nil, err
@@ -258,7 +202,7 @@ func (l *Live) Steps() []*Derivation { return l.e.steps }
 
 // HasNegation reports whether any rule has a negated body atom; programs
 // without negation need no repair iteration beyond one delta pass.
-func (l *Live) HasNegation() bool { return l.hasNeg }
+func (l *Live) HasNegation() bool { return l.e.cp.hasNeg }
 
 // Superseded reports whether the fact is a stale aggregate emission.
 func (l *Live) Superseded(id database.FactID) bool { return l.e.superseded[id] }
@@ -519,10 +463,10 @@ func (l *Live) ResetNegationReaders(lost map[string]bool) int {
 // retraction can un-pre-empt a homomorphism that semi-naive deltas would
 // never revisit. It returns the number of rules reset.
 func (l *Live) ResetExistentialRules() int {
-	for _, r := range l.existRules {
+	for _, r := range l.e.cp.existRules {
 		delete(l.e.lastSeen, r)
 	}
-	return len(l.existRules)
+	return len(l.e.cp.existRules)
 }
 
 // Saturate re-runs the stratified fixpoint loop over the rules reachable
@@ -578,10 +522,10 @@ func (l *Live) Saturate(dirty map[string]bool) (int, error) {
 	}
 
 	rounds := 0
-	for stratum := 0; stratum <= l.maxStratum; stratum++ {
+	for stratum := 0; stratum <= e.cp.maxStratum; stratum++ {
 		var rules []*ast.Rule
 		for _, r := range e.prog.Rules {
-			if include[r] && l.strata[r.Head.Predicate] == stratum {
+			if include[r] && e.cp.strata[r.Head.Predicate] == stratum {
 				rules = append(rules, r)
 			}
 		}

@@ -67,7 +67,8 @@ type slotRef struct {
 
 // plan is the compiled form of one rule, shared by every evaluation of that
 // rule. It is immutable after compilation; executors carry all mutable
-// state, so one plan serves concurrent join workers.
+// state, so one plan serves concurrent join workers and, when it holds no
+// value id, every engine of the program (see Program).
 type plan struct {
 	rule *ast.Rule
 	// nslots id slots (atom variables, first-occurrence order over the
@@ -91,8 +92,8 @@ type plan struct {
 	// head is the vectorized-emission layout of the head atom (nil when the
 	// rule is existential or aggregating — those emit per binding).
 	head *headPlan
-	// Provenance frame layouts (see frame.go), filled in by the engine that
-	// interns them: a binding's frame (body variables and assignment
+	// Provenance frame layouts (see frame.go), filled in by the engine (or
+	// the Program) that interns them: a binding's frame (body variables and assignment
 	// targets) and an aggregation group's frame (its bound group
 	// variables), each with the slot of every sorted position.
 	bindVars  *frameVars

@@ -13,12 +13,13 @@ package chase
 // envelope in internal/snapshot carries a program fingerprint for exactly
 // that check).
 //
-// Scratch and derived state is not serialized: compiled plans are
-// recompiled (their constants are already in the restored dictionary, so no
-// new ids are assigned), the per-fact derivation index is rebuilt from the
-// step list (both emission paths append to steps and derivs in the same
-// order), strata and the existential/negation rule sets are recomputed from
-// the program, and the columnar indexes rebuild lazily on first use.
+// Scratch and derived state is not serialized: strata, the existential and
+// negation rule sets and the shared plans come with the compiled Program,
+// plans that hold constants are recompiled (their constants are already in
+// the restored dictionary, so no new ids are assigned), the per-fact
+// derivation index is rebuilt from the step list (both emission paths
+// append to steps and derivs in the same order), and the columnar indexes
+// rebuild lazily on first use.
 //
 // Determinism: every map is emitted in a canonical order (rules in program
 // order, substitutions by variable name, id sets ascending, aggregation
@@ -30,12 +31,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/database"
-	"repro/internal/depgraph"
 	"repro/internal/term"
 )
 
@@ -199,48 +198,31 @@ func (l *Live) EncodeState() ([]byte, error) {
 // the snapshotting engine's — results are byte-identical across executors —
 // but the program must be identical: rule references are stored as indexes
 // into Program.Rules. The caller is responsible for that check (the on-disk
-// envelope verifies a program fingerprint).
+// envelope verifies a program fingerprint). It compiles the program for this
+// restore alone; a caller that restores many engines of one program
+// compiles it once (Compile) and calls Program.RestoreLive.
 func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("chase: restore: invalid program: %w", err)
+	cp, err := Compile(p)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Batch && opts.Legacy {
-		return nil, fmt.Errorf("chase: restore: options Batch and Legacy are mutually exclusive")
+	return cp.RestoreLive(opts, data)
+}
+
+// RestoreLive rebuilds a Live of the compiled program from an EncodeState
+// payload (see the package-level RestoreLive). Decoded frames resolve to
+// the program's shared layouts, and only the plans the program does not
+// share are compiled.
+func (cp *Program) RestoreLive(opts Options, data []byte) (*Live, error) {
+	l, err := cp.newLive(opts)
+	if err != nil {
+		return nil, fmt.Errorf("chase: restore: %w", err)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	maxFacts := opts.MaxFacts
-	if maxFacts <= 0 {
-		maxFacts = defaultMaxFacts
-	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	e, p := l.e, cp.prog
 
 	r := &stateReader{data: data}
 	if v := r.byte(); r.err == nil && v != stateVersion {
 		return nil, fmt.Errorf("chase: restore: unsupported state version %d", v)
-	}
-
-	e := &engine{
-		prog:       p,
-		store:      database.NewStore(),
-		superseded: map[database.FactID]bool{},
-		aggState:   map[string]aggEmission{},
-		lastSeen:   map[*ast.Rule]int{},
-		aggGroups:  map[*ast.Rule]map[string]*aggGroup{},
-		aggOrder:   map[*ast.Rule][]string{},
-		aggSeen:    map[*ast.Rule]map[string]struct{}{},
-		lastSuper:  map[*ast.Rule]int{},
-		plans:      map[*ast.Rule]*plan{},
-		maxFacts:   maxFacts,
-		naive:      opts.Naive,
-		legacy:     opts.Legacy,
-		batch:      opts.Batch,
-		workers:    workers,
 	}
 
 	// Dictionary first: interning the exact representatives in id order
@@ -386,41 +368,12 @@ func RestoreLive(p *ast.Program, opts Options, data []byte) (*Live, error) {
 		return nil, fmt.Errorf("chase: restore: %d trailing bytes after state payload", len(r.data)-r.off)
 	}
 
-	// Recompile plans (dictionary already holds every constant, so no new
-	// ids are assigned) and recompute the program-derived evaluation sets.
-	if !e.legacy {
-		for _, rl := range p.Rules {
-			if _, err := e.planFor(rl); err != nil {
-				return nil, fmt.Errorf("chase: restore: rule %s: %w", rl.Label, err)
-			}
-		}
-	}
-	strata, err := depgraph.New(p).Stratify()
-	if err != nil {
+	// Compile the plans the program does not share (the dictionary already
+	// holds every constant, so no new ids are assigned).
+	if err := e.compilePlans(); err != nil {
 		return nil, fmt.Errorf("chase: restore: %w", err)
 	}
-	maxStratum := 0
-	for _, s := range strata {
-		if s > maxStratum {
-			maxStratum = s
-		}
-	}
-	l := &Live{
-		e:           e,
-		strata:      strata,
-		maxStratum:  maxStratum,
-		maxRounds:   maxRounds,
-		rounds:      rounds,
-		existRules:  existentialRules(p),
-		loadSeconds: loadSeconds,
-		evalSeconds: evalSeconds,
-	}
-	for _, rl := range p.Rules {
-		if len(rl.Negated) > 0 {
-			l.hasNeg = true
-			break
-		}
-	}
+	l.rounds, l.loadSeconds, l.evalSeconds = rounds, loadSeconds, evalSeconds
 	return l, nil
 }
 
@@ -601,7 +554,8 @@ func (r *stateReader) ids() []database.FactID {
 	return out
 }
 
-// frame decodes a substitution into a frame whose layout is interned in e.
+// frame decodes a substitution into a frame whose layout is interned in e
+// (or shared by its program).
 // The names must ascend strictly, as the writer emits them; the name bytes
 // are read in place, so a layout seen before costs no string allocation.
 func (r *stateReader) frame(e *engine) Frame {

@@ -64,7 +64,11 @@ type Config struct {
 // caches are internally synchronized, so a Pipeline is safe for concurrent
 // Reason and explanation queries over shared or distinct chase results.
 type Pipeline struct {
-	prog      *ast.Program
+	prog *ast.Program
+	// compiled is prog compiled once for every chase the pipeline runs:
+	// Reason before the first Update, every maintainer it stands up, and
+	// every session engine a server restores from a snapshot.
+	compiled  *chase.Program
 	glossary  *glossary.Glossary
 	graph     *depgraph.Graph
 	analysis  *paths.Analysis
@@ -92,12 +96,14 @@ type Pipeline struct {
 }
 
 // NewPipeline compiles a program and its glossary into a pipeline: it
-// validates glossary coverage, builds the dependency graph, runs the
-// structural analysis, verbalizes every reasoning path into its
+// compiles the program for the chase (chase.Compile validates and
+// stratifies it), validates glossary coverage, builds the dependency graph,
+// runs the structural analysis, verbalizes every reasoning path into its
 // deterministic template and attaches enhanced variants.
 func NewPipeline(prog *ast.Program, g *glossary.Glossary, cfg Config) (*Pipeline, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid program: %w", err)
+	compiled, err := chase.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if errs := g.Covers(prog); len(errs) > 0 {
 		msgs := make([]string, len(errs))
@@ -123,6 +129,7 @@ func NewPipeline(prog *ast.Program, g *glossary.Glossary, cfg Config) (*Pipeline
 	}
 	p := &Pipeline{
 		prog:      prog,
+		compiled:  compiled,
 		glossary:  g,
 		graph:     graph,
 		analysis:  analysis,
@@ -155,6 +162,10 @@ func NewPipelineFromSource(progSrc, glossarySrc string, cfg Config) (*Pipeline, 
 
 // Program returns the compiled program.
 func (p *Pipeline) Program() *ast.Program { return p.prog }
+
+// Compiled returns the program compiled for the chase, shared read-only by
+// every engine the pipeline runs or restores.
+func (p *Pipeline) Compiled() *chase.Program { return p.compiled }
 
 // Glossary returns the domain glossary.
 func (p *Pipeline) Glossary() *glossary.Glossary { return p.glossary }
@@ -227,8 +238,7 @@ func (p *Pipeline) reasonRun(ctx context.Context, opts chase.Options) (func() (*
 	p.mntMu.Lock()
 	defer p.mntMu.Unlock()
 	if p.mnt == nil {
-		prog := p.prog
-		return func() (*chase.Result, error) { return chase.RunContext(ctx, prog, opts) }, 0
+		return func() (*chase.Result, error) { return p.compiled.RunContext(ctx, opts) }, 0
 	}
 	m := p.mnt
 	if len(opts.ExtraFacts) == 0 {
@@ -265,7 +275,7 @@ func (p *Pipeline) UpdateContext(ctx context.Context, add, retract []ast.Atom) (
 	p.mntMu.Lock()
 	defer p.mntMu.Unlock()
 	if p.mnt == nil {
-		m, err := incremental.NewContext(ctx, p.prog, p.cfg.Chase)
+		m, err := incremental.NewCompiledContext(ctx, p.compiled, p.cfg.Chase)
 		if err != nil {
 			return nil, incremental.UpdateStats{}, fmt.Errorf("core: building maintainer: %w", err)
 		}
@@ -289,7 +299,7 @@ func (p *Pipeline) Maintain(extra ...ast.Atom) (*incremental.Maintainer, error) 
 func (p *Pipeline) MaintainContext(ctx context.Context, extra ...ast.Atom) (*incremental.Maintainer, error) {
 	opts := p.cfg.Chase
 	opts.ExtraFacts = append(append([]ast.Atom{}, opts.ExtraFacts...), extra...)
-	return incremental.NewContext(ctx, p.prog, opts)
+	return incremental.NewCompiledContext(ctx, p.compiled, opts)
 }
 
 // Epoch returns the maintained instance's mutation epoch: 0 before the

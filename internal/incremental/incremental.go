@@ -104,6 +104,16 @@ func NewContext(ctx context.Context, p *ast.Program, opts chase.Options) (*Maint
 	return &Maintainer{live: l}, nil
 }
 
+// NewCompiledContext is NewContext over a program compiled once
+// (chase.Compile) and shared by every maintainer of it.
+func NewCompiledContext(ctx context.Context, cp *chase.Program, opts chase.Options) (*Maintainer, error) {
+	l, err := cp.RunLiveContext(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Maintainer{live: l}, nil
+}
+
 // FromLive wraps an existing live fixpoint — typically one rebuilt by
 // chase.RestoreLive from a serialized snapshot — in a fresh maintainer. The
 // caller hands over ownership: the Live must not be mutated outside the

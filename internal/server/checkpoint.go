@@ -64,6 +64,7 @@ func (s *Server) compact(sess *session, seq uint64) error {
 		return err
 	}
 	s.snapshotWrites.Add(1)
+	sess.snapshotAt(seq)
 	old := sess.getWAL()
 	l, err := wal.Create(s.walPath(sess.id), wal.Header{
 		App:      sess.app,
@@ -227,10 +228,13 @@ func (s *Server) Close() {
 
 // snapshotQuiesced checkpoints a session whose committer has fully stopped
 // (CloseWait returned): Applied() is exact and nothing mutates the
-// maintainer. The epoch guard skips the write when the on-disk snapshot is
-// already current — re-evicting an unmodified restored session is free.
-// Read-only sessions (no maintainer ever stood up) have nothing to
-// serialize; their WAL header alone restores them.
+// maintainer. A clean session — nothing applied past the snapshot it was
+// restored from or last wrote — is skipped without touching the disk, so
+// re-evicting an unmodified restored session is free. A dirty one first
+// probes the on-disk header and skips the write when another owner's
+// snapshot there is already as new (the stale-owner guard). Read-only
+// sessions (no maintainer ever stood up) have nothing to serialize; their
+// WAL header alone restores them.
 func (s *Server) snapshotQuiesced(sess *session) bool {
 	if s.walDir == "" {
 		return false
@@ -240,6 +244,12 @@ func (s *Server) snapshotQuiesced(sess *session) bool {
 		return false
 	}
 	epoch := sess.cmt.Applied()
+	if sess.snapshotCovers(epoch) {
+		return false
+	}
+	if s.testHookSnapshotProbe != nil {
+		s.testHookSnapshotProbe(sess.id)
+	}
 	if h, err := snapshot.ReadHeader(s.snapPath(sess.id)); err == nil && h.Epoch >= epoch {
 		return false
 	}
@@ -254,6 +264,7 @@ func (s *Server) snapshotQuiesced(sess *session) bool {
 		return false
 	}
 	s.snapshotWrites.Add(1)
+	sess.snapshotAt(epoch)
 	return true
 }
 
@@ -302,7 +313,7 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 	if got, want := h.Program, s.fingerprints[h.App]; got != want {
 		return nil, fmt.Errorf("program fingerprint changed (snapshot %s, compiled %s)", got, want)
 	}
-	live, err := chase.RestoreLive(pipe.Program(), s.chaseOpts, payload)
+	live, err := pipe.Compiled().RestoreLive(s.chaseOpts, payload)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot state: %w", err)
 	}
@@ -310,6 +321,7 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 	lastSeq := h.Epoch
 	var logHandle *wal.Log
 	var extra []ast.Atom
+	var replayed int
 	rec, walErr := wal.Replay(s.walPath(id))
 	if walErr == nil {
 		extra = rec.Header.Base
@@ -328,7 +340,7 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 				// The poisoning write of the previous life, crashed before
 				// its abort record landed: rebuild from the snapshot without
 				// it and mark it aborted.
-				live2, rerr := chase.RestoreLive(pipe.Program(), s.chaseOpts, payload)
+				live2, rerr := pipe.Compiled().RestoreLive(s.chaseOpts, payload)
 				if rerr != nil {
 					return nil, fmt.Errorf("snapshot state: %w", rerr)
 				}
@@ -341,7 +353,8 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 				bad = d.Seq
 			}
 		}
-		s.tailReplays.Add(uint64(len(tail)))
+		replayed = len(tail)
+		s.tailReplays.Add(uint64(replayed))
 		if rl := rec.LastSeq(); rl > lastSeq {
 			lastSeq = rl
 		}
@@ -371,7 +384,8 @@ func (s *Server) restoreFromSnapshot(ctx context.Context, id string, h snapshot.
 		_ = logHandle.Close()
 		return nil, err
 	}
-	sess := &session{id: id, app: h.App, extra: extra, result: res, epoch: lastSeq, syncWAL: s.logSync}
+	sess := &session{id: id, app: h.App, extra: extra, result: res, epoch: lastSeq, syncWAL: s.logSync, deltasSinceSnap: replayed}
+	sess.snapshotAt(h.Epoch)
 	sess.setWAL(logHandle)
 	s.attachCommitter(sess, core.CommitterConfig{StartSeq: lastSeq, Maintainer: m})
 	return sess, nil

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -218,4 +219,104 @@ func TestAssignedSessionIDs(t *testing.T) {
 			t.Errorf("assignId %q: status = %d, want 400", bad, resp.StatusCode)
 		}
 	}
+}
+
+// TestRestoredSessionCompactsOnSchedule: a session restored from a snapshot
+// plus a k-delta tail counts those k deltas toward its next compaction, so
+// it compacts after CompactCommits-k more commits, not CompactCommits.
+func TestRestoredSessionCompactsOnSchedule(t *testing.T) {
+	const every, k = 4, 2
+	ts, s := newTestServerFull(t, Options{WALDir: t.TempDir(), CompactCommits: every})
+	var rr reasonResponse
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","facts":"Own(\"X\",\"Y\",0.6)."}`, &rr)
+	hop := 0
+	write := func() {
+		writeFact(t, ts.URL, rr.Session, fmt.Sprintf("e%d", hop), fmt.Sprintf("e%d", hop+1), 0.7)
+		hop++
+	}
+	for i := 0; i < every+k; i++ {
+		write()
+	}
+	if n := s.compactions.Load(); n != 1 {
+		t.Fatalf("compactions = %d after %d commits at threshold %d, want 1", n, every+k, every)
+	}
+	// Drop the session without its eviction checkpoint (a crash), so the
+	// next request restores the snapshot and replays the k-delta tail.
+	s.sessions.Remove(rr.Session)
+	for i := 0; i < every-k; i++ {
+		if n := s.compactions.Load(); n != 1 {
+			t.Fatalf("compacted after %d commits past the restore, want %d", i, every-k)
+		}
+		write()
+	}
+	if got := s.tailReplays.Load(); got != k {
+		t.Errorf("tail replays = %d, want %d", got, k)
+	}
+	if n := s.compactions.Load(); n != 2 {
+		t.Errorf("compactions = %d after %d commits past a %d-delta tail, want 2", n, every-k, k)
+	}
+}
+
+// TestEvictionCheckpointFileWork: evicting a session that applied nothing
+// past its own snapshot writes no snapshot and reads no header; a dirty
+// eviction probes the header and writes one; and a newer snapshot already
+// on disk (another owner's) still suppresses the overwrite.
+func TestEvictionCheckpointFileWork(t *testing.T) {
+	dir := t.TempDir()
+	ts, s := newTestServerFull(t, Options{WALDir: dir, MaxSessions: 1})
+	var probes atomic.Int64
+	var rr reasonResponse
+	postJSON(t, ts.URL+"/reason", `{"app":"company-control","facts":"Own(\"X\",\"Y\",0.6)."}`, &rr)
+	id := rr.Session
+	s.testHookSnapshotProbe = func(sid string) {
+		if sid == id {
+			probes.Add(1)
+		}
+	}
+	snapPath := filepath.Join(dir, id+".snap")
+	evict := func() {
+		t.Helper()
+		postJSON(t, ts.URL+"/reason", `{"app":"stress-simple","scenario":true}`, nil)
+		s.drainRetirements()
+		if s.session(id) != nil {
+			t.Fatal("session still resident after eviction")
+		}
+	}
+	check := func(step string, wantProbes, wantWrites int64, wantEpoch uint64) {
+		t.Helper()
+		if got := probes.Load(); got != wantProbes {
+			t.Errorf("%s: header probes = %d, want %d", step, got, wantProbes)
+		}
+		if got := int64(s.snapshotWrites.Load()); got != wantWrites {
+			t.Errorf("%s: snapshot writes = %d, want %d", step, got, wantWrites)
+		}
+		if h, err := snapshot.ReadHeader(snapPath); err != nil || h.Epoch != wantEpoch {
+			t.Errorf("%s: snapshot on disk at epoch %d (%v), want %d", step, h.Epoch, err, wantEpoch)
+		}
+	}
+
+	writeFact(t, ts.URL, id, "Y", "Z", 0.7)
+	evict()
+	check("dirty eviction", 1, 1, 1)
+
+	sessionRead(t, ts.URL, id) // restore from the snapshot at epoch 1
+	evict()
+	check("clean eviction of the restored session", 1, 1, 1)
+
+	writeFact(t, ts.URL, id, "Z", "W", 0.8) // restores, then epoch 2
+	evict()
+	check("dirty eviction after a restore", 2, 2, 2)
+
+	// Another owner checkpointed the session further meanwhile: the dirty
+	// eviction at epoch 3 probes the header and leaves epoch 5 in place.
+	writeFact(t, ts.URL, id, "W", "V", 0.9)
+	_, payload, err := snapshot.Read(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(snapPath, snapshot.Header{App: "company-control", Program: s.fingerprints["company-control"], Epoch: 5}, payload); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	check("dirty eviction under a newer snapshot", 3, 2, 5)
 }

@@ -335,7 +335,7 @@ func (s *Server) restoreSession(ctx context.Context, id string) (*session, error
 		_ = log.Close()
 		return nil, fmt.Errorf("restoring session %s: %w", id, err)
 	}
-	sess := &session{id: id, app: rec.Header.App, extra: rec.Header.Base, result: res, epoch: rec.LastSeq(), syncWAL: s.logSync}
+	sess := &session{id: id, app: rec.Header.App, extra: rec.Header.Base, result: res, epoch: rec.LastSeq(), syncWAL: s.logSync, deltasSinceSnap: len(deltas)}
 	sess.setWAL(log)
 	s.attachCommitter(sess, core.CommitterConfig{StartSeq: rec.LastSeq(), Maintainer: m})
 	s.restores.Add(1)

@@ -211,6 +211,10 @@ type Server struct {
 	// the drain barrier and the restore-waits-for-retirement path are
 	// exercised deterministically.
 	testHookRetire func(id string)
+	// testHookSnapshotProbe, when set, runs before an eviction checkpoint
+	// reads the session's snapshot header — tests use it to prove that a
+	// clean eviction touches no file.
+	testHookSnapshotProbe func(id string)
 }
 
 // session is one live reasoning instance. Mutations flow through cmt, the
@@ -232,9 +236,16 @@ type session struct {
 	// Immutable after construction.
 	extra []ast.Atom
 	// deltasSinceSnap counts WAL deltas appended since the last durable
-	// snapshot — the commit-count compaction trigger. Only the session's
+	// snapshot — the commit-count compaction trigger. A restore starts it
+	// at the number of deltas it replayed; afterwards only the session's
 	// commit leader (the OnApply hook) touches it.
 	deltasSinceSnap int
+	// snapEpoch is 1 + the epoch of the snapshot this session last wrote
+	// or was restored from, 0 when it knows of none. An eviction of a
+	// session with nothing applied past it skips the checkpoint without
+	// touching the disk. Atomic because a drain (SnapshotAll) and an
+	// eviction can checkpoint one session at once.
+	snapEpoch atomic.Uint64
 	// staleKeys carries the previous epoch's explanation-cache keys from
 	// publish to onApply; only the commit leader touches it.
 	staleKeys []string
@@ -282,6 +293,16 @@ func (sess *session) getWAL() *wal.Log {
 	sess.walMu.Lock()
 	defer sess.walMu.Unlock()
 	return sess.walLog
+}
+
+// snapshotAt records that the session's snapshot on disk is at epoch.
+func (sess *session) snapshotAt(epoch uint64) { sess.snapEpoch.Store(epoch + 1) }
+
+// snapshotCovers reports whether the session's own snapshot on disk holds
+// every commit up to epoch.
+func (sess *session) snapshotCovers(epoch uint64) bool {
+	known := sess.snapEpoch.Load()
+	return known > 0 && epoch <= known-1
 }
 
 // read returns the session's published (fixpoint, epoch) pair.

@@ -493,17 +493,20 @@ func (r *Recovered) Live() []Delta {
 	return out
 }
 
-// OpenAppend truncates any damaged tail and reopens the log for appending
-// with the recovered dictionary, so a restored session keeps writing the
-// same file.
+// OpenAppend reopens the log for appending after its valid prefix with the
+// recovered dictionary, so a restored session keeps writing the same file.
+// A damaged tail (Truncated) is cut off first; an intact log is not
+// rewritten.
 func (r *Recovered) OpenAppend(policy SyncPolicy) (*Log, error) {
 	f, err := os.OpenFile(r.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reopen: %w", err)
 	}
-	if err := f.Truncate(r.offset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate damaged tail: %w", err)
+	if r.Truncated {
+		if err := f.Truncate(r.offset); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: truncate damaged tail: %w", err)
+		}
 	}
 	if _, err := f.Seek(r.offset, io.SeekStart); err != nil {
 		f.Close()

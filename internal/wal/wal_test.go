@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -292,6 +293,71 @@ func TestOpenAppend(t *testing.T) {
 	last := r2.Deltas[2]
 	if last.Seq != 3 || !sameAtoms(last.Add, atoms(t, `own("a","b",60)`)) {
 		t.Fatalf("resumed delta mismatch: %+v", last)
+	}
+}
+
+// TestOpenAppendLeavesIntactLog: reopening a log whose every byte replayed
+// cleanly rewrites nothing — size, bytes and modification time stay as
+// they were (the mtime is pinned in the past first, so a truncate of any
+// length would show) — while a torn tail is still cut to the valid prefix
+// before the first append.
+func TestOpenAppendLeavesIntactLog(t *testing.T) {
+	path := writeLog(t, t.TempDir(), SyncOff)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Truncated {
+		t.Fatal("intact log replayed as truncated")
+	}
+	l, err := r.OpenAppend(SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(past) || fi.Size() != int64(len(clean)) {
+		t.Errorf("OpenAppend touched an intact log: size %d (was %d), mtime %v", fi.Size(), len(clean), fi.ModTime())
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
+		t.Error("OpenAppend changed an intact log's bytes")
+	}
+	if err := l.Append(Delta{Seq: 4, Add: atoms(t, `own("y","z",20)`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r2, err := Replay(path); err != nil || r2.Truncated || len(r2.Deltas) != 4 {
+		t.Fatalf("after append to intact log: err=%v deltas=%d", err, len(r2.Deltas))
+	}
+
+	// A torn tail: OpenAppend cuts the file back to the valid prefix.
+	torn := append(append([]byte{}, clean...), 0x17, 0, 0, 0, 1, 2)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err = Replay(path)
+	if err != nil || !r.Truncated {
+		t.Fatalf("torn log: err=%v, Truncated=%v", err, r != nil && r.Truncated)
+	}
+	l, err = r.OpenAppend(SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
+		t.Errorf("torn tail not cut to the valid prefix: %d bytes, want %d", len(got), len(clean))
 	}
 }
 
